@@ -1,84 +1,81 @@
-"""Hot amplitude-pass kernels for the structured braiding operator.
+"""The amplitude-pass kernel for the structured braiding operator.
 
-The structured operator is (diagonal term) + (monomial tensor term), so one
-linear pass over the 2^n amplitudes suffices:
+The structured operator is (diagonal term at slot k) + (tensor chain), so one
+pass over the 2^n amplitudes suffices.  The kernel views the state as one
+axis per qubit (qubit 1 = axis 0, the most significant index bit) and builds
+the tensor-chain term axis by axis:
 
-    out[x] = d(x_k) * v[x] + P[x ^ mask] * v[x ^ mask]
+1. scale axis j by the coefficient its source bit picks up, coeffs[j, bit],
+   as one broadcast multiply by two half-length Kronecker vectors;
+2. contract the slots whose 2x2 mixes basis states (H, tilted axes), in
+   place while the term is still contiguous;
+3. reverse each maximal run of bit-flipping axes, as a view;
+4. add the slot-k diagonal term d(x_k) v.
 
-with mask collecting the bit-flipping tensor slots and P the per-index
-coefficient product (a Kronecker product of n two-vectors, built once).
-
-Two interchangeable implementations: a numba @njit loop and a vectorized
-numpy twin.  Set TLBRAID_NO_NUMBA=1 (or any non-empty value) to force the
-numpy path; the numpy path is also the silent fallback when numba is not
-importable.  `benchmarks/bench_structured.py` compares the two.
+No index array and no 2^n coefficient vector is built; the peak is about
+twice the state (the term and the result).
 """
 
 from __future__ import annotations
 
-import os
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
-_ENV_FLAG = "TLBRAID_NO_NUMBA"
-
-try:
-    if os.environ.get(_ENV_FLAG):
-        raise ImportError(f"{_ENV_FLAG} set")
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    _HAVE_NUMBA = False
-
 
 def backend() -> str:
-    """Active kernel backend: "numba" or "numpy"."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """The kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-def gather_pass_numpy(v: np.ndarray, phases: np.ndarray, mask: int,
-                      kbit: int, diag0: complex, diag1: complex) -> np.ndarray:
-    """Vectorized single pass; allocates index and gather temporaries."""
-    idx = np.arange(v.size, dtype=np.int64)
-    partner = idx ^ mask
-    dvec = np.where(idx & kbit, diag1, diag0)
-    return dvec * v + phases[partner] * v[partner]
+def phase_vector(coeff_pairs) -> np.ndarray:
+    """(n, 2) table of per-qubit (bit=0, bit=1) coefficients, qubit 1 first."""
+    return np.array(coeff_pairs, dtype=np.complex128).reshape(-1, 2)
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gather_pass_jit(v, phases, mask, kbit, diag0, diag1, out):
-        for x in range(v.size):
-            y = x ^ mask
-            d = diag1 if x & kbit else diag0
-            out[x] = d * v[x] + phases[y] * v[y]
-
-    def gather_pass_numba(v: np.ndarray, phases: np.ndarray, mask: int,
-                          kbit: int, diag0: complex, diag1: complex) -> np.ndarray:
-        out = np.empty_like(v)
-        _gather_pass_jit(v, phases, np.int64(mask), np.int64(kbit),
-                         complex(diag0), complex(diag1), out)
-        return out
-
-else:
-    gather_pass_numba = None
-
-
-def gather_pass(v, phases, mask, kbit, diag0, diag1):
-    if _HAVE_NUMBA:
-        return gather_pass_numba(v, phases, mask, kbit, diag0, diag1)
-    return gather_pass_numpy(v, phases, mask, kbit, diag0, diag1)
-
-
-def phase_vector(coeff_pairs: list[tuple[complex, complex]]) -> np.ndarray:
-    """Kronecker product of per-qubit (bit=0, bit=1) coefficient pairs.
-
-    Entry y of the result is the product over qubits j of the pair entry
-    selected by bit j of y (qubit 1 most significant).
-    """
+def _kron_rows(rows: np.ndarray) -> np.ndarray:
+    """Kronecker product of the table's rows (first row most significant)."""
     out = np.ones(1, dtype=np.complex128)
-    for c0, c1 in coeff_pairs:
-        out = np.kron(out, np.array([c0, c1], dtype=np.complex128))
+    for row in rows:
+        out = np.multiply.outer(out, row).reshape(-1)
     return out
+
+
+def _contract_axis(term: np.ndarray, axis: int, m2: np.ndarray) -> None:
+    """term <- m2 acting on `axis`, in place with half-size temporaries."""
+    t = term.reshape(1 << axis, 2, -1)
+    a, b = t[:, 0], t[:, 1]
+    new_a = a * m2[0, 0]
+    new_a += m2[0, 1] * b
+    b *= m2[1, 1]
+    b += m2[1, 0] * a
+    a[...] = new_a
+
+
+def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
+                mixers: Sequence[tuple[int, np.ndarray]], k: int,
+                diag0: complex, diag1: complex) -> np.ndarray:
+    """d(x_k) v + (tensor chain) v for an n-qubit state v.
+
+    `coeffs` is the (n, 2) table from `phase_vector`; `flips[j]` says whether
+    axis j's slot flips its bit; `mixers` lists (axis, 2x2) for the slots that
+    mix basis states, whose table rows are (1, 1).  `k` is the 1-based slot
+    of the diagonal block diag(diag0, diag1).
+    """
+    n = len(coeffs)
+    half = n // 2
+    term = v.reshape(1 << half, -1) * _kron_rows(coeffs[:half])[:, None]
+    term *= _kron_rows(coeffs[half:])
+    for axis, m2 in mixers:
+        _contract_axis(term, axis, m2)
+
+    runs = [(flip, len(list(group))) for flip, group in groupby(flips)]
+    shape = [1 << size for _, size in runs]
+    flipped = term.reshape(shape)[tuple(slice(None, None, -1) if flip
+                                        else slice(None) for flip, _ in runs)]
+
+    out = v.reshape(1 << (k - 1), 2, -1) * np.array([[diag0], [diag1]])
+    runs_view = out.reshape(shape)
+    runs_view += flipped
+    return out.reshape(-1)

@@ -2,17 +2,19 @@
 
 Angles accept plain floats or simple pi expressions ("pi/8", "-pi/6",
 "3*pi/4").  States are given as bit strings ("0101") or "@file" references
-to the JSON interchange format.  Flags override values from --config FILE
-(a JSON object with the same key names).  Exit codes: 0 all checks passed,
-1 a verification check failed, 2 usage/config/domain error.
+to the JSON interchange format or to a subcommand's JSON output.  Flags
+override values from --config FILE (a JSON object with the same key names).
+Exit codes: 0 all checks passed, 1 a verification check failed, 2
+usage/config/domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
-import re
+import operator
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -30,7 +32,24 @@ from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
                   tl_params)
 from . import braidlang
 
-_ANGLE_RE = re.compile(r"^[0-9pi+\-*/. ()]+$")
+#: Longer angle text is refused before parsing: deep nesting exhausts the parser.
+_ANGLE_MAX_CHARS = 200
+_ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _angle_value(node: ast.AST) -> float:
+    """Value of a numeric literal, pi, + - * /, or unary minus; else raise."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_angle_value(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](_angle_value(node.left),
+                                         _angle_value(node.right))
+    raise ValueError(f"{type(node).__name__} is not allowed in an angle")
 
 
 def parse_angle(text: str) -> float:
@@ -39,11 +58,11 @@ def parse_angle(text: str) -> float:
         return float(text)
     except ValueError:
         pass
-    if not _ANGLE_RE.match(text):
-        raise DomainError(f"cannot parse angle {text!r}")
+    if len(text) > _ANGLE_MAX_CHARS:
+        raise DomainError(f"angle text longer than {_ANGLE_MAX_CHARS} characters")
     try:
-        return float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
+        return _angle_value(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ValueError, ZeroDivisionError):
         raise DomainError(f"cannot parse angle {text!r}") from None
 
 
@@ -162,7 +181,11 @@ def _emit(payload: dict, text: str, cfg: RunConfig) -> None:
 def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            return state_from_json(json.load(fh))
+            obj = json.load(fh)
+        # the JSON output of generate / apply / entropy holds it under "state"
+        if isinstance(obj, dict) and "state" in obj:
+            obj = obj["state"]
+        return state_from_json(obj)
     return basis_state(parse_bits(spec))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, DomainError
 
 DENSE_CAP_DIM = 2**12
 
@@ -209,9 +209,17 @@ def state_to_json(v: np.ndarray) -> dict:
 
 
 def state_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["n_qubits"])
-    v = as_state([complex(re, im) for re, im in obj["amplitudes"]])
-    if v.size != 1 << n:
+    """Decode {"n_qubits": n, "amplitudes": [[re, im], ...]}."""
+    if not isinstance(obj, dict) or not {"n_qubits", "amplitudes"} <= obj.keys():
+        raise DomainError('a state needs the keys "n_qubits" and "amplitudes"')
+    try:
+        n = int(obj["n_qubits"])
+        amps = [complex(re, im) for re, im in obj["amplitudes"]]
+    except (TypeError, ValueError):
+        raise DomainError("a state needs an integer n_qubits and [re, im] "
+                          "number pairs as amplitudes") from None
+    v = as_state(amps)
+    if num_qubits(v) != n:
         raise DimensionMismatchError(
             f"{v.size} amplitudes for an {n}-qubit state"
         )

@@ -8,10 +8,10 @@ with D = diag(d a^2, d b^2 + A^-2) and antidiagonal
 F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a basis
 state it therefore produces at most two terms, and acting on an arbitrary
 state it needs one linear pass over the amplitudes instead of a 2^n x 2^n
-matrix.  Monomial involutions (I and the Paulis) go through the gather
-kernel in `_kernels`; anything that mixes basis states per qubit (e.g. the
-Hadamard involution) falls back to a per-qubit 2x2 sweep, still without
-materializing the operator.
+matrix.  Every dressing goes through the axis-wise kernel in `_kernels`:
+monomial slots (I and the Paulis) scale and flip their qubit axis, and slots
+that mix basis states (e.g. the Hadamard involution) are contracted with
+their 2x2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import apply_single_qubit, dagger, kron_all, max_abs, num_qubits
+from .linalg import dagger, kron_all, max_abs, num_qubits
 from .tla import (InvolutionSpec, RepShape, TLParams, default_involution_spec,
                   tl_params)
 
@@ -170,28 +170,17 @@ def apply_structured(op: StructuredBraidOp, v: np.ndarray,
     d0, d1 = complex(dblock[0, 0]), complex(dblock[1, 1])
 
     factors = list(op.spec.slots[:k - 1]) + [fblock] + list(op.spec.slots[k - 1:])
-    parts = [_monomial_parts(m) for m in factors]
-    if all(pt is not None for pt in parts):
-        mask = 0
-        pairs = []
-        for j, (flip, c0, c1) in enumerate(parts, start=1):
-            if flip:
-                mask |= 1 << (n - j)
-            pairs.append((c0, c1))
-        phases = _kernels.phase_vector(pairs)
-        kbit = 1 << (n - k)
-        return _kernels.gather_pass(v, phases, mask, kbit, d0, d1)
-
-    # some slot mixes basis states: per-qubit 2x2 sweep, still matrix-free
-    term = v
-    for j, m2 in enumerate(factors, start=1):
-        term = apply_single_qubit(m2, term, j)
-    out = v.copy()
-    view = out.reshape(1 << (k - 1), 2, 1 << (n - k))
-    view[:, 0, :] *= d0
-    view[:, 1, :] *= d1
-    out += term
-    return out
+    pairs, flips, mixers = [], [], []
+    for axis, m2 in enumerate(factors):
+        parts = _monomial_parts(m2)
+        if parts is None:
+            # mixes basis states: contracted with its 2x2, not scaled
+            parts = (False, 1.0, 1.0)
+            mixers.append((axis, m2))
+        flips.append(parts[0])
+        pairs.append(parts[1:])
+    coeffs = _kernels.phase_vector(pairs)
+    return _kernels.gather_pass(v, coeffs, flips, mixers, k, d0, d1)
 
 
 def ghz_state(n: int, params: Optional[TLParams] = None,

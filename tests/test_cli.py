@@ -34,11 +34,24 @@ class TestParseAngle:
         assert abs(parse_angle("pi/8") - math.pi / 8) < 1e-15
         assert abs(parse_angle("-pi/6") + math.pi / 6) < 1e-15
         assert abs(parse_angle("pi+pi/8") - (math.pi + math.pi / 8)) < 1e-15
+        assert abs(parse_angle("-pi/8") + math.pi / 8) < 1e-15
+        assert abs(parse_angle("3*pi/4") - 3 * math.pi / 4) < 1e-15
+        assert abs(parse_angle("(pi)/2") - math.pi / 2) < 1e-15
 
     def test_rejects_garbage(self):
         from tlbraid.errors import DomainError
         with pytest.raises(DomainError):
             parse_angle("import os")
+
+    def test_rejects_power(self, capsys, tmp_path):
+        from tlbraid.errors import DomainError
+        with pytest.raises(DomainError):
+            parse_angle("2**3")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": "2**3"}))
+        code, _, err = run_cli(capsys, "generate", "ghz", "--n", "2",
+                               "--config", str(cfg))
+        assert code == 2 and "cannot parse angle" in err
 
 
 class TestVerify:
@@ -128,6 +141,17 @@ class TestGenerate:
         nonzero = sorted(i for i, a in enumerate(amps) if abs(a) > 1e-13)
         assert nonzero == sorted([0b010, 0b001])
 
+    def test_product_cuts_have_rank_one(self, capsys):
+        # at k = n every cut of this state is a product; Schmidt ranks taken
+        # from square roots of Gram eigenvalues read rounding noise as rank 2
+        code, obj, _ = run_json(capsys, "generate", "basis-superpose",
+                                "--n", "8", "--k", "8", "--state", "10000011",
+                                "--theta=-0.23")
+        assert code == 0
+        for rep in obj["entanglement"]:
+            assert rep["entropy_bits"] <= 1e-12
+            assert rep["schmidt_rank"] == 1 and rep["is_product"]
+
     def test_missing_n_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "ghz")
         assert code == 2 and "needs --n" in err
@@ -210,6 +234,32 @@ class TestEntropy:
         assert code == 0
         assert obj["entanglement"][0]["bipartition"] == [2, 3]
         assert abs(obj["entanglement"][0]["entropy_bits"] - 1.0) < 1e-9
+
+
+    def test_reads_back_generate_output(self, capsys, tmp_path):
+        gen = tmp_path / "ghz.json"
+        code, _, _ = run_cli(capsys, "generate", "ghz", "--n", "3",
+                             "--format", "json", "--out", str(gen))
+        assert code == 0
+        code, obj, _ = run_json(capsys, "entropy", "--state", f"@{gen}")
+        assert code == 0
+        assert len(obj["entanglement"]) == 3
+        for rep in obj["entanglement"]:
+            assert abs(rep["entropy_bits"] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("payload", [
+        {"n_qubits": 1},
+        {"amplitudes": [[1, 0], [0, 0]]},
+        {"n_qubits": 1, "amplitudes": [1, 0]},
+        {"state": {"n_qubits": "one", "amplitudes": [[1, 0], [0, 0]]}},
+        [[1, 0], [0, 0]],
+    ])
+    def test_malformed_state_file_exit_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "entropy", "--state", f"@{path}")
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
 
 
 class TestConfigAndOutput:

@@ -155,6 +155,7 @@ class TestApplyStructured:
 
     @pytest.mark.parametrize("names", [
         ("i", "x", "y"), ("z", "z", "x"), ("h", "x", "h"), ("y", "h", "i"),
+        ("x", "x", "x"), ("h", "h", "h"),
     ])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_oracle_equivalence_random_states(self, rng, names, k):
@@ -216,34 +217,31 @@ class TestApplyStructured:
             apply_structured(op, basis_state("00"))
 
 
-class TestKernelBackends:
-    def test_numpy_and_numba_paths_agree(self, rng):
-        if _kernels.gather_pass_numba is None:
-            pytest.skip("numba unavailable")
-        n = 10
-        v = random_state(rng, n)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << n))
-        mask = 0b1010110011
-        kbit = 1 << 4
-        args = (v, phases, mask, kbit, 0.25 - 0.5j, -0.75 + 0.1j)
-        assert max_abs(_kernels.gather_pass_numba(*args)
-                       - _kernels.gather_pass_numpy(*args)) < 1e-14
-
+class TestKernel:
     def test_phase_vector_is_kron_of_pairs(self):
+        # one (bit=0, bit=1) row per qubit; their Kronecker product is the
+        # coefficient an index picks up
         pairs = [(1.0, -1.0), (2.0, 3.0j), (0.5, 1.0)]
-        p = _kernels.phase_vector(pairs)
+        table = _kernels.phase_vector(pairs)
+        assert table.shape == (3, 2) and table.dtype == np.complex128
         expected = np.kron(np.kron([1, -1], [2, 3j]), [0.5, 1.0])
-        assert np.array_equal(p, expected)
+        assert np.array_equal(_kernels._kron_rows(table), expected)
 
-    def test_env_flag_selects_numpy(self):
-        import os
-        import subprocess
-        import sys
-        code = ("import tlbraid; print(tlbraid.kernel_backend())")
-        env = dict(os.environ, TLBRAID_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "numpy"
+    @pytest.mark.parametrize("names", [("i", "x", "y", "z") * 5,
+                                       ("h", "x", "i", "h") * 5])
+    def test_peak_memory_near_twice_the_state(self, rng, names):
+        import tracemalloc
+        n = 18
+        op = structured_braid_op(RepShape(n, 9), params=tl_params(0.3, 1.1),
+                                 spec=involution_spec(names[:n - 1]))
+        v = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            apply_structured(op, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * v.nbytes
 
 
 class TestGhz:
