@@ -3,8 +3,9 @@
 Builds the three-strand Jones representation from a 2^n x 2^n projector
 realization of TL_3(d), verifies all defining relations (Temperley-Lieb,
 braid, Yang-Baxter, non-faithfulness powers), and applies the braiding
-operator B(n,k) = b1 b2 to qubit states in a single structured pass to
-generate Bell, generalized GHZ, and cluster-like entangled states.
+operator B(n,k) = b1 b2 (and every other braid word) to qubit states in a
+single structured pass to generate Bell, generalized GHZ, and cluster-like
+entangled states.
 """
 
 from ._kernels import backend as kernel_backend
@@ -28,8 +29,9 @@ from .states import (STRUCTURED_CAP_QUBITS, StructuredBraidOp, apply_structured,
                      basis_state, bits_to_index, cluster_family,
                      cluster_like_state, conjugate_bits, ghz_state,
                      index_to_bits, parse_bits, structured_braid_op)
-from .tla import (InvolutionSpec, RepShape, TLParams, check_tl_relations,
-                  default_involution_spec, involution_matrix, involution_spec,
+from .tla import (InvolutionSpec, JonesPairs, RepShape, TLParams,
+                  check_tl_relations, default_involution_spec,
+                  involution_matrix, involution_spec, jones_pairs,
                   local_blocks, tl_params, tl_projectors)
 
 __version__ = "0.1.0"

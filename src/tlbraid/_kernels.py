@@ -70,12 +70,25 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     for axis, m2 in mixers:
         _contract_axis(term, axis, m2)
 
-    runs = [(flip, len(list(group))) for flip, group in groupby(flips)]
+    # by parts of the top qubits: numpy's ufunc buffers grow with the
+    # operands up to 128 KiB, so on small states whole-state operands would
+    # add a third state to the peak
+    top = min(n, 2)
+    runs = [(flip, 1) for flip in flips[:top]]
+    runs += [(flip, len(list(group))) for flip, group in groupby(flips[top:])]
     shape = [1 << size for _, size in runs]
     flipped = term.reshape(shape)[tuple(slice(None, None, -1) if flip
                                         else slice(None) for flip, _ in runs)]
-
-    out = v.reshape(1 << (k - 1), 2, -1) * np.array([[diag0], [diag1]])
-    runs_view = out.reshape(shape)
-    runs_view += flipped
-    return out.reshape(-1)
+    out = np.empty_like(v)
+    dd = np.array([[diag0], [diag1]])
+    for part, (out_p, v_p) in enumerate(zip(out.reshape(1 << top, -1),
+                                            v.reshape(1 << top, -1))):
+        bits = [(part >> (top - 1 - j)) & 1 for j in range(top)]
+        if k <= top:
+            np.multiply(v_p, dd[bits[k - 1], 0], out=out_p)
+        else:
+            np.multiply(v_p.reshape(1 << (k - 1 - top), 2, -1), dd,
+                        out=out_p.reshape(1 << (k - 1 - top), 2, -1))
+        np.add(out_p.reshape(shape[top:]), flipped[tuple(bits)],
+               out=out_p.reshape(shape[top:]))
+    return out

@@ -4,20 +4,25 @@ Grammar: a word is one or more whitespace-separated factors, each
 ``b<INDEX>`` with an optional ``^<SIGNED_INT>`` exponent (default 1, zero
 rejected).  Indices are 1-based generator numbers; the strand count is
 `declared_strands` when given, otherwise max index + 1.  Words act on kets
-from the left in reading order: "b1 b2" |v> = (b1 b2) |v>.
+from the left in reading order: "b1 b2" |v> = (b1 b2) |v>.  `evaluate` is
+the dense product; `evaluate_on_state` never forms it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .braidrep import BraidRepresentation
+from .braidrep import BraidRepresentation, bell_matrix
 from .errors import BraidSyntaxError, DimensionMismatchError, DomainError
-from .states import apply_structured, structured_braid_op
+from .linalg import dagger
+from .states import apply_structured
+from .tla import StructuredBraidOp, jones_pairs
 
 _FACTOR_RE = re.compile(r"b(\d+)(?:\^([+-]?\d+))?\Z")
 
@@ -85,21 +90,37 @@ def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
     return out
 
 
-_STRUCTURED_FORWARD = ((1, 1), (2, 1))
-_STRUCTURED_INVERSE = ((2, -1), (1, -1))
+def fold(word: BraidWord, rep: BraidRepresentation) -> StructuredBraidOp:
+    """A jones word as one slot-chain pair; each power b_i^e costs
+    O(log |e|) 2x2 pair products."""
+    _check_compat(word, rep)
+    if rep.family != "jones":
+        raise DomainError(f"only jones words fold into a pair, not {rep.family}")
+    pairs = jones_pairs(rep.shape, rep.params, rep.spec)
+    return reduce(operator.matmul, (
+        (pairs.generators if e > 0 else pairs.inverses)[i - 1] ** abs(e)
+        for i, e in word.factors))
 
 
 def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
                       v: np.ndarray) -> np.ndarray:
-    """Apply the word to a state; the jones words b1 b2 and b2^-1 b1^-1 use
-    the structured single-pass path, everything else goes dense."""
+    """Apply the word to a state without forming its matrix.
+
+    A jones word folds into one slot-chain pair (2x2 products, each power
+    by binary powering) that acts in one pass over the amplitudes.  A bell
+    word applies R^e to qubits (i, i+1) one factor at a time, the rightmost
+    first, as (g1 g2 ...) v does.
+    """
     if rep.dim != v.shape[0]:
         raise DimensionMismatchError(
             f"representation dim {rep.dim} vs state length {v.shape[0]}"
         )
-    if rep.family == "jones" and word.factors in (_STRUCTURED_FORWARD,
-                                                  _STRUCTURED_INVERSE):
-        op = structured_braid_op(rep.shape, rep.params, rep.spec,
-                                 validate_dense=False)
-        return apply_structured(op, v, inverse=word.factors == _STRUCTURED_INVERSE)
-    return evaluate(word, rep) @ v
+    if rep.family == "jones":
+        return apply_structured(fold(word, rep), v)
+    _check_compat(word, rep)
+    r = bell_matrix()
+    for index, exponent in reversed(word.factors):
+        factor = np.linalg.matrix_power(r if exponent > 0 else dagger(r),
+                                        abs(exponent))
+        v = np.matmul(factor, v.reshape(1 << (index - 1), 4, -1)).reshape(-1)
+    return v

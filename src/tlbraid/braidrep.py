@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError, DomainError
 from .linalg import dagger, kron_all, max_abs
 from .reports import RelationReport
-from .tla import InvolutionSpec, RepShape, TLParams, tl_projectors
+from .tla import InvolutionSpec, RepShape, TLParams, jones_pairs
 
 _BELL = (1.0 / np.sqrt(2.0)) * np.array(
     [[1, 0, 0, -1],
@@ -70,19 +70,13 @@ def jones_representation(p: TLParams, shape: RepShape,
     """Three-strand representation b_i = A h_i + A^{-1} I, h_i = d E_i.
 
     The inverse is b_i^{-1} = A^{-1} h_i + A I; both are exact consequences
-    of h_i^2 = d h_i.
+    of h_i^2 = d h_i.  The matrices are the dense forms of `jones_pairs`.
     """
-    E1, E2 = tl_projectors(shape, p, spec)
-    eye = np.eye(E1.shape[0], dtype=np.complex128)
-    A = p.A
-    gens, invs = [], []
-    for E in (E1, E2):
-        h = p.d * E
-        gens.append(A * h + eye / A)
-        invs.append(h / A + A * eye)
+    pairs = jones_pairs(shape, p, spec)
     return BraidRepresentation(
         family="jones", strands=3,
-        generators=tuple(gens), inverses=tuple(invs),
+        generators=tuple(b.dense() for b in pairs.generators),
+        inverses=tuple(b.dense() for b in pairs.inverses),
         params=p, shape=shape, spec=spec,
     )
 

@@ -16,8 +16,9 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import (Literal, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class RunConfig:
     b_sign: int = 1
     tol: Optional[float] = None
     seed: int = 0
-    format: str = "text"
+    format: Literal["text", "json"] = "text"
     out: Optional[str] = None
 
     def params(self) -> TLParams:
@@ -101,17 +102,43 @@ class RunConfig:
         return involution_spec(self.s)
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DomainError(f"{path} nests JSON too deeply") from None
+
+
+def _load_config(path: str) -> dict:
+    values = _read_json(path)
+    if not isinstance(values, dict):
+        raise DomainError(f"config file {path} does not hold a JSON object")
+    return values
+
+
+def _fits(hint, value) -> bool:
+    """Whether a decoded JSON value fits a RunConfig field annotation."""
+    if get_origin(hint) is Literal:
+        return value in get_args(hint)
+    if get_origin(hint) is Union:
+        return any(_fits(h, value) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(get_args(hint)[0], x)
+                                               for x in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):     # JSON true/false is no number
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         file_values = _load_config(args.config)
-        valid = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - valid
+        hints = get_type_hints(RunConfig)
+        unknown = set(file_values) - set(hints)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
@@ -119,6 +146,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 value = parse_angle(value)
             if key == "s" and isinstance(value, str):
                 value = [p.strip() for p in value.split(",")]
+            if not _fits(hints[key], value):
+                raise DomainError(
+                    f"config key {key!r} needs {hints[key]}, got {value!r:.80}")
             setattr(cfg, key, value)
     for key in ("theta", "phi", "n", "k", "s", "a_sign", "b_sign",
                 "tol", "seed", "format", "out"):
@@ -180,8 +210,7 @@ def _emit(payload: dict, text: str, cfg: RunConfig) -> None:
 
 def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            obj = json.load(fh)
+        obj = _read_json(spec[1:])
         # the JSON output of generate / apply / entropy holds it under "state"
         if isinstance(obj, dict) and "state" in obj:
             obj = obj["state"]
@@ -297,7 +326,10 @@ def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
             "qubit": measure, "outcome": outcome, "probability": prob,
         }
     if cut:
-        subset = [int(tok) for tok in cut.split(",") if tok.strip()]
+        try:
+            subset = [int(tok) for tok in cut.split(",") if tok.strip()]
+        except ValueError:
+            raise DomainError(f"--cut needs a comma list of qubits, got {cut!r}") from None
         reports = [entanglement_report(v, subset, tol=tol)]
     else:
         n = num_qubits(v)
@@ -395,7 +427,8 @@ def main(argv=None) -> int:
             return cmd_entropy(cfg, args.state, args.cut, args.measure,
                                args.outcome)
         parser.error(f"unknown command {args.command}")
-    except (TLBraidError, OSError, json.JSONDecodeError) as exc:
+    except (TLBraidError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -147,10 +147,13 @@ class EntanglementReport:
 
 def entanglement_report(v: np.ndarray, bipartition,
                         tol: float = 1e-9) -> EntanglementReport:
-    """Entropy / Schmidt-rank report for one cut of a pure state."""
+    """Entropy / Schmidt-rank report for one cut of a normalized pure state."""
     n = num_qubits(v)
     keep = _validate_subset(bipartition, n)
     rho = reduced_density(v, keep)
+    trace = np.trace(rho).real
+    if not abs(trace - 1.0) <= 1e-10:
+        raise DomainError(f"state norm^2 {trace:.6g} is not 1")
     rank = schmidt_rank(v, keep, tol=tol)
     return EntanglementReport(
         bipartition=keep,

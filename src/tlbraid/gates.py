@@ -65,14 +65,12 @@ def verify_cnot_decomposition(params=None, tol: float = 1e-12) -> RelationReport
     The identity is exact at theta=pi/8 (the decomposition's local unitaries
     are specific to that B(2,1)); no phase freedom is allowed.
     """
-    from .braidrep import jones_representation
-    from .tla import RepShape, default_involution_spec, tl_params
+    from .states import structured_braid_op
+    from .tla import RepShape, tl_params
 
     if params is None:
         params = tl_params(np.pi / 8)
-    shape = RepShape(n=2, k=1)
-    rep = jones_representation(params, shape, default_involution_spec(shape))
-    b21 = rep.generators[0] @ rep.generators[1]
+    b21 = structured_braid_op(RepShape(n=2, k=1), params).dense()
     assembled = kron(ALPHA, BETA) @ b21 @ kron(GAMMA, DELTA)
     residual = max_abs(assembled - CNOT)
     return RelationReport.from_residuals(

@@ -51,7 +51,7 @@ def as_state(amplitudes) -> np.ndarray:
 
 def require_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise ValueError("non-finite entries (NaN/Inf) are not accepted")
+        raise DomainError("non-finite entries (NaN/Inf) are not accepted")
 
 
 def num_qubits(v: np.ndarray) -> int:

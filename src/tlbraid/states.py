@@ -1,10 +1,11 @@
 """n-qubit state construction and the structured braiding operator.
 
-The braid b1 b2 in the Temperley-Lieb representation collapses to
+Like every Jones operator (see `tla.StructuredBraidOp`), the braid b1 b2
+has the slot-chain form
 
     B(n,k) = I^(k-1) x D x I^(n-k)  +  s_1..s_{k-1} x F x s_{k+1}..s_n
 
-with D = diag(d a^2, d b^2 + A^-2) and antidiagonal
+and the pair product gives D = diag(d a^2, d b^2 + A^-2) and antidiagonal
 F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a basis
 state it therefore produces at most two terms, and acting on an arbitrary
 state it needs one linear pass over the amplitudes instead of a 2^n x 2^n
@@ -16,16 +17,15 @@ their 2x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import dagger, kron_all, max_abs, num_qubits
-from .tla import (InvolutionSpec, RepShape, TLParams, default_involution_spec,
-                  tl_params)
+from .linalg import dagger, max_abs, num_qubits
+from .tla import (InvolutionSpec, RepShape, StructuredBraidOp, TLParams,
+                  default_involution_spec, jones_pairs, tl_params)
 
 STRUCTURED_CAP_QUBITS = 26      # 2^26 amplitudes ~ 1 GiB
 _MONOMIAL_TOL = 1e-14
@@ -36,7 +36,9 @@ Bits = Union[str, Sequence[int]]
 def parse_bits(bits: Bits) -> tuple[int, ...]:
     """Normalize "0101"-style strings or 0/1 sequences to a bit tuple."""
     if isinstance(bits, str):
-        bits = [int(c) for c in bits.strip()] if bits.strip() else []
+        if set(bits.strip()) - {"0", "1"}:
+            raise DomainError(f"bits must be 0 or 1, got {bits!r:.80}")
+        bits = [int(c) for c in bits.strip()]
     out = tuple(int(b) for b in bits)
     if len(out) < 1:
         raise DomainError("bit string must contain at least one bit")
@@ -86,36 +88,14 @@ def _monomial_parts(m2: np.ndarray):
     return None
 
 
-@dataclass(frozen=True)
-class StructuredBraidOp:
-    """B(n,k) in structured form: a diagonal 2x2 block at slot k plus an
-    antidiagonal block dressed with involutions on the other slots."""
-
-    shape: RepShape
-    params: TLParams
-    spec: InvolutionSpec
-    diag_block: np.ndarray      # 2x2 diagonal
-    offdiag_block: np.ndarray   # 2x2 antidiagonal
-
-    def dense(self) -> np.ndarray:
-        """Materialize the 2^n x 2^n matrix (dense cap applies)."""
-        n, k = self.shape.n, self.shape.k
-        eye = [np.eye(2, dtype=np.complex128)]
-        left, right = self.spec.split(k)
-        return (kron_all(*eye * (k - 1), self.diag_block, *eye * (n - k))
-                + kron_all(*left, self.offdiag_block, *right))
-
-
 def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
-                        spec: Optional[InvolutionSpec] = None,
-                        validate_dense: Optional[bool] = None) -> StructuredBraidOp:
-    """Build B(n,k) = b1 b2 in structured form.
+                        spec: Optional[InvolutionSpec] = None) -> StructuredBraidOp:
+    """Build B(n,k) = b1 b2 as the product of the two generator pairs.
 
     Defaults: theta = pi/8 parameters and the identity-below / sigma1-above
-    involution convention.  The two amplitude-pair normalization identities
-    are always checked; the construction is additionally cross-validated
-    against the dense product of the Jones generators when n <= 8 (or when
-    `validate_dense` forces it).
+    involution convention.  The pair is checked to be unitary,
+    P^+P + Q^+Q = I and P^+Q + Q^+P = 0; for n <= 8 it is also
+    cross-validated against the dense product of the Jones generators.
     """
     if params is None:
         params = tl_params(np.pi / 8)
@@ -126,30 +106,15 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
         raise CapacityError(
             f"n={n} exceeds the structured cap {STRUCTURED_CAP_QUBITS}"
         )
-    if len(spec) != n - 1:
-        raise DimensionMismatchError(
-            f"need {n - 1} involutions for n={n}, got {len(spec)}"
-        )
-    A, d, a, b, phi = params.A, params.d, params.a, params.b, params.phi
-    d0 = d * a * a
-    d1 = d * b * b + A ** -2
-    f10 = np.exp(1j * phi) * d * a * b
-    f01 = -np.exp(-1j * phi) * A ** 4 * d * a * b
-    if abs(abs(d0) ** 2 + abs(f10) ** 2 - 1.0) > 1e-14:
-        raise DomainError("amplitude normalization |da^2|^2 + |dab|^2 = 1 violated")
-    if abs(abs(d1) ** 2 + abs(f01) ** 2 - 1.0) > 1e-14:
-        raise DomainError("amplitude normalization |db^2+A^-2|^2 + |A^4 dab|^2 = 1 violated")
-    op = StructuredBraidOp(
-        shape=shape, params=params, spec=spec,
-        diag_block=np.array([[d0, 0], [0, d1]], dtype=np.complex128),
-        offdiag_block=np.array([[0, f01], [f10, 0]], dtype=np.complex128),
-    )
-    if validate_dense is None:
-        validate_dense = n <= 8
-    if validate_dense:
-        from .braidrep import jones_representation
-        rep = jones_representation(params, shape, spec)
-        residual = max_abs(op.dense() - rep.generators[0] @ rep.generators[1])
+    b1, b2 = jones_pairs(shape, params, spec).generators
+    op = b1 @ b2
+    p, q = op.diag_block, op.offdiag_block
+    residual = max(max_abs(dagger(p) @ p + dagger(q) @ q - np.eye(2)),
+                   max_abs(dagger(p) @ q + dagger(q) @ p))
+    if residual > 1e-14:
+        raise DomainError(f"B(n,k) pair deviates from unitarity by {residual:.3e}")
+    if n <= 8:
+        residual = max_abs(op.dense() - b1.dense() @ b2.dense())
         if residual > 1e-12:
             raise DomainError(
                 f"structured form deviates from dense b1 b2 by {residual:.3e}"
@@ -159,28 +124,31 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
 
 def apply_structured(op: StructuredBraidOp, v: np.ndarray,
                      inverse: bool = False) -> np.ndarray:
-    """Apply B(n,k) (or its adjoint) in one pass over the amplitudes."""
+    """Apply a slot-chain operator (or its adjoint) in one pass over the
+    amplitudes."""
     n, k = op.shape.n, op.shape.k
     if num_qubits(v) != n:
         raise DimensionMismatchError(
             f"state has {num_qubits(v)} qubits, operator acts on {n}"
         )
-    dblock = dagger(op.diag_block) if inverse else op.diag_block
-    fblock = dagger(op.offdiag_block) if inverse else op.offdiag_block
-    d0, d1 = complex(dblock[0, 0]), complex(dblock[1, 1])
+    if inverse:
+        op = op.dagger()
+    p, q = op.diag_block, op.offdiag_block
 
-    factors = list(op.spec.slots[:k - 1]) + [fblock] + list(op.spec.slots[k - 1:])
-    pairs, flips, mixers = [], [], []
+    factors = list(op.spec.slots[:k - 1]) + [q] + list(op.spec.slots[k - 1:])
+    coeffs = _kernels.phase_vector(np.ones((n, 2)))
+    flips, mixers = [], []
     for axis, m2 in enumerate(factors):
-        parts = _monomial_parts(m2)
+        # Q is antidiagonal by construction: it always flips its bit
+        parts = (True, q[1, 0], q[0, 1]) if axis == k - 1 else _monomial_parts(m2)
         if parts is None:
             # mixes basis states: contracted with its 2x2, not scaled
             parts = (False, 1.0, 1.0)
             mixers.append((axis, m2))
         flips.append(parts[0])
-        pairs.append(parts[1:])
-    coeffs = _kernels.phase_vector(pairs)
-    return _kernels.gather_pass(v, coeffs, flips, mixers, k, d0, d1)
+        coeffs[axis] = parts[1:]
+    return _kernels.gather_pass(v, coeffs, flips, mixers, k,
+                                complex(p[0, 0]), complex(p[1, 1]))
 
 
 def ghz_state(n: int, params: Optional[TLParams] = None,

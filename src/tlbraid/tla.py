@@ -4,12 +4,16 @@ The construction places three 2x2 blocks (e1, e2, e3) at tensor slot k out
 of n and dresses the e3 term with Hermitian involutions s_j on the other
 slots; the resulting pair (E1, E2) generates a matrix realization of the
 three-strand Temperley-Lieb algebra with loop weight d = -2 cos(2 theta).
+Every operator of that algebra, and of the braid group it represents, is
+one `StructuredBraidOp`: a diagonal block at slot k plus an antidiagonal
+block dressed with the involution chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +53,14 @@ def tl_params(theta: float, phi: float = 0.0,
     """
     if a_sign not in (1, -1) or b_sign not in (1, -1):
         raise DomainError("a_sign and b_sign must be +1 or -1")
-    theta = float(theta)
-    phi = float(phi)
-    if not np.isfinite(theta) or not np.isfinite(phi):
-        raise DomainError("theta and phi must be finite")
+    try:
+        theta, phi = float(theta), float(phi)
+        # 2 theta must not overflow either: cos(inf) is nan and passes d^2 >= 1
+        finite = np.isfinite(2.0 * theta) and np.isfinite(phi)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError("theta and phi must be finite, with |theta| < 8.9e307")
     d = -2.0 * np.cos(2.0 * theta)
     if d * d < 1.0 - 1e-12:
         raise DomainError(
@@ -82,16 +90,9 @@ class RepShape:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
-_NAMED_INVOLUTIONS = {
-    "i": gates.IDENTITY_2,
-    "x": gates.PAULI_X,
-    "y": gates.PAULI_Y,
-    "z": gates.PAULI_Z,
-    "h": gates.HADAMARD,
-    "sigma1": gates.PAULI_X,
-    "sigma2": gates.PAULI_Y,
-    "sigma3": gates.PAULI_Z,
-}
+#: Involution names resolved through the gate table in `gates`.
+_INVOLUTION_NAMES = frozenset(("i", "x", "y", "z", "h",
+                               "sigma1", "sigma2", "sigma3"))
 
 
 def involution_matrix(spec) -> np.ndarray:
@@ -101,13 +102,13 @@ def involution_matrix(spec) -> np.ndarray:
     1e-14.
     """
     if isinstance(spec, str):
-        try:
-            return _NAMED_INVOLUTIONS[spec.strip().lower()].copy()
-        except KeyError:
+        name = spec.strip().lower()
+        if name not in _INVOLUTION_NAMES:
             raise DomainError(
                 f"unknown involution name {spec!r}; use I, X, Y, Z, H "
                 "or a 2x2 matrix"
-            ) from None
+            )
+        return gates.gate(name)
     m = np.array(spec, dtype=np.complex128)
     if m.shape != (2, 2):
         raise DimensionMismatchError(f"involution must be 2x2, got {m.shape}")
@@ -170,6 +171,104 @@ def _check_capacity(n: int) -> None:
         )
 
 
+@dataclass(frozen=True)
+class StructuredBraidOp:
+    """A Jones operator in slot-chain form, the pair (P, Q) standing for
+
+        I x..x I x P x I x..x I  +  s_1 x..x s_{k-1} x Q x s_{k+1} x..x s_n
+
+    with P diagonal and Q antidiagonal 2x2 blocks at slot k.  Every s_j is
+    a Hermitian involution, so the chain squares to the identity and the
+    form is closed under products and adjoints:
+    (P1, Q1)(P2, Q2) = (P1 P2 + Q1 Q2, P1 Q2 + Q1 P2), (P, Q)^+ = (P^+, Q^+).
+    """
+
+    shape: RepShape
+    params: TLParams
+    spec: InvolutionSpec
+    diag_block: np.ndarray      # P, 2x2 diagonal
+    offdiag_block: np.ndarray   # Q, 2x2 antidiagonal
+
+    def __post_init__(self):
+        p, q = self.diag_block, self.offdiag_block
+        if p[0, 1] or p[1, 0] or q[0, 0] or q[1, 1]:
+            raise DomainError("slot block P must be diagonal and Q antidiagonal")
+
+    def __matmul__(self, other: "StructuredBraidOp") -> "StructuredBraidOp":
+        if self.shape != other.shape or not all(
+                map(np.array_equal, self.spec.slots, other.spec.slots)):
+            raise DimensionMismatchError(
+                "operators on different slots or involution chains")
+        p1, q1 = self.diag_block, self.offdiag_block
+        p2, q2 = other.diag_block, other.offdiag_block
+        return replace(self, diag_block=p1 @ p2 + q1 @ q2,
+                       offdiag_block=p1 @ q2 + q1 @ p2)
+
+    def __pow__(self, exponent: int) -> "StructuredBraidOp":
+        """Positive power by binary powering: O(log exponent) products."""
+        if exponent < 1:
+            raise DomainError(f"need a positive exponent, got {exponent}")
+        out, base = None, self
+        while True:
+            if exponent & 1:
+                out = base if out is None else out @ base
+            exponent >>= 1
+            if not exponent:
+                return out
+            base = base @ base
+
+    def dagger(self) -> "StructuredBraidOp":
+        return replace(self, diag_block=dagger(self.diag_block),
+                       offdiag_block=dagger(self.offdiag_block))
+
+    def dense(self) -> np.ndarray:
+        """Materialize the 2^n x 2^n matrix (dense cap applies)."""
+        n, k = self.shape.n, self.shape.k
+        _check_capacity(n)
+        ones = [np.ones(2)]
+        out = np.diag(kron_all(*ones * (k - 1), np.diagonal(self.diag_block),
+                               *ones * (n - k)).ravel())
+        if self.offdiag_block.any():
+            left, right = self.spec.split(k)
+            out += kron_all(*left, self.offdiag_block, *right)
+        return out
+
+
+class JonesPairs(NamedTuple):
+    projectors: tuple[StructuredBraidOp, StructuredBraidOp]   # E1, E2
+    generators: tuple[StructuredBraidOp, StructuredBraidOp]   # b1, b2
+    inverses: tuple[StructuredBraidOp, StructuredBraidOp]     # b1^-1, b2^-1
+
+
+def jones_pairs(shape: RepShape, p: TLParams,
+                spec: InvolutionSpec) -> JonesPairs:
+    """E_i, b_i = A d E_i + A^-1 I and b_i^-1 = A^-1 d E_i + A I as pairs.
+
+    E1 = (e1, 0) and E2 = (e2, ab e3) with the blocks of `local_blocks`.
+    """
+    if len(spec) != shape.n - 1:
+        raise DimensionMismatchError(
+            f"need {shape.n - 1} involutions for n={shape.n}, got {len(spec)}"
+        )
+    e1, e2, e3 = local_blocks(p)
+    eye = np.eye(2, dtype=np.complex128)
+    projectors = (
+        StructuredBraidOp(shape, p, spec, e1, np.zeros((2, 2), np.complex128)),
+        StructuredBraidOp(shape, p, spec, e2, p.a * p.b * e3),
+    )
+
+    def affine(E, scale, shift):
+        """scale * d E + shift * I"""
+        return replace(E, diag_block=scale * p.d * E.diag_block + shift * eye,
+                       offdiag_block=scale * p.d * E.offdiag_block)
+
+    return JonesPairs(
+        projectors=projectors,
+        generators=tuple(affine(E, p.A, 1 / p.A) for E in projectors),
+        inverses=tuple(affine(E, 1 / p.A, p.A) for E in projectors),
+    )
+
+
 def tl_projectors(shape: RepShape, p: TLParams,
                   spec: InvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian projector pair (E1, E2) on n qubits.
@@ -178,19 +277,8 @@ def tl_projectors(shape: RepShape, p: TLParams,
     involution-dressed e3 term.  h_i = d*E_i generate the Temperley-Lieb
     relations checked by `check_tl_relations`.
     """
-    n, k = shape.n, shape.k
-    _check_capacity(n)
-    if len(spec) != n - 1:
-        raise DimensionMismatchError(
-            f"need {n - 1} involutions for n={n}, got {len(spec)}"
-        )
-    e1, e2, e3 = local_blocks(p)
-    eye = [np.eye(2, dtype=np.complex128)]
-    left, right = spec.split(k)
-    E1 = kron_all(*eye * (k - 1), e1, *eye * (n - k))
-    E2 = kron_all(*eye * (k - 1), e2, *eye * (n - k)) \
-        + p.a * p.b * kron_all(*left, e3, *right)
-    return E1, E2
+    E1, E2 = jones_pairs(shape, p, spec).projectors
+    return E1.dense(), E2.dense()
 
 
 def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams,

@@ -85,7 +85,7 @@ def test_criterion_06_state_actions_and_structured_inverse():
     r10 = max_abs(out10 - np.array([0, 1j * S2, -1j * S2, 0]))
     ok = r00 <= 1e-13 and r10 <= 1e-13
 
-    ghz_state(2, use_inverse=True)       # warm the jit once
+    ghz_state(2, use_inverse=True)
     timings = []
     for n in range(2, 21):
         t0 = time.time()

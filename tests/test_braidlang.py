@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,23 @@ from tlbraid import (BraidSyntaxError, DimensionMismatchError, DomainError,
                      RepShape, bell_representation, evaluate,
                      evaluate_on_state, jones_representation, max_abs, parse,
                      render, tl_params)
-from tlbraid.braidlang import BraidWord
+from tlbraid.braidlang import BraidWord, fold
 from tlbraid.states import basis_state
-from tlbraid.tla import default_involution_spec
+from tlbraid.tla import default_involution_spec, involution_spec
 
 from conftest import random_state
+
+JONES_WORDS = ["b1 b2", "b2^-1 b1^-1", "b1^1000001", "b1 b2^-1 b1^3",
+               "b2^3 b1^-2 b2 b1^5 b2^-1"]
+#: (n, k, involution names); None is the default I-below / X-above dressing
+DRESSINGS = [
+    (5, 1, None),
+    (1, 1, ()),
+    (3, 2, ("h", "y")),
+    (4, 4, ("y", "h", "x")),
+    (6, 3, ("x", "h", "y", "z", "i")),
+    (7, 4, ("h", "i", "y", "x", "h", "z")),
+]
 
 
 class TestParse:
@@ -113,14 +127,24 @@ class TestEvaluate:
 
 
 class TestEvaluateOnState:
-    def test_structured_fast_path_matches_dense(self, rng):
-        shape = RepShape(5, 1)
-        rep = jones_representation(tl_params(np.pi / 8), shape,
-                                   default_involution_spec(shape))
-        v = random_state(rng, 5)
-        word = parse("b1 b2", declared_strands=3)
-        fast = evaluate_on_state(word, rep, v)
-        dense = evaluate(word, rep) @ v
+    @pytest.mark.parametrize("word", JONES_WORDS)
+    @pytest.mark.parametrize("n, k, names", DRESSINGS)
+    def test_structured_fast_path_matches_dense(self, rng, word, n, k, names):
+        shape = RepShape(n, k)
+        spec = (default_involution_spec(shape) if names is None
+                else involution_spec(names))
+        # the default dressing stays at the paper's point theta = pi/8
+        theta, phi = ((np.pi / 8, 0.0) if names is None
+                      else (np.pi + np.pi / 8, np.pi / 3))
+        rep = jones_representation(tl_params(theta, phi), shape, spec)
+        v = random_state(rng, n)
+        w = parse(word, declared_strands=3)
+        op = fold(w, rep)
+        p, q = op.diag_block, op.offdiag_block
+        assert p[0, 1] == 0 and p[1, 0] == 0
+        assert q[0, 0] == 0 and q[1, 1] == 0
+        fast = evaluate_on_state(w, rep, v)
+        dense = evaluate(w, rep) @ v
         assert max_abs(fast - dense) < 1e-11
 
     def test_structured_inverse_path(self, rng):
@@ -163,3 +187,44 @@ class TestEvaluateOnState:
         rep = bell_representation(3)
         with pytest.raises(DimensionMismatchError):
             evaluate_on_state(parse("b1"), rep, basis_state("00"))
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_bell_words_match_dense(self, rng, m):
+        rep = bell_representation(m)
+        top = m - 1
+        for text in ("b1", f"b{top}^-1", f"b1 b{top}^3 b1^-2",
+                     f"b{top} b1^5 b{(m + 1) // 2}^-7 b1"):
+            word = parse(text, declared_strands=m)
+            v = random_state(rng, m)
+            out = evaluate_on_state(word, rep, v)
+            assert max_abs(out - evaluate(word, rep) @ v) < 1e-12
+
+    def test_incompatible_word_on_state(self):
+        rep = bell_representation(3)
+        with pytest.raises(DomainError, match="b3"):
+            evaluate_on_state(parse("b3"), rep, basis_state("000"))
+
+    def test_bell_word_does_not_fold(self):
+        with pytest.raises(DomainError, match="jones"):
+            fold(parse("b1"), bell_representation(3))
+
+    @pytest.mark.parametrize("family", ["jones", "bell"])
+    def test_peak_memory_is_state_sized(self, rng, family):
+        n = 8
+        if family == "jones":
+            shape = RepShape(n, 4)
+            rep = jones_representation(tl_params(np.pi / 8), shape,
+                                       involution_spec("xhyizxh"))
+            word = parse("b1 b2^-1 b1^3 b2^5", declared_strands=3)
+        else:
+            rep = bell_representation(n)
+            word = parse("b1 b7^-1 b4^3 b2^5", declared_strands=n)
+        v = random_state(rng, n)
+        evaluate_on_state(word, rep, v)      # first-call caches
+        tracemalloc.start()
+        try:
+            evaluate_on_state(word, rep, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * v.nbytes

@@ -1,8 +1,14 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlbraid import state_to_json
 from tlbraid.cli import main, parse_angle
@@ -282,6 +288,44 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "verify", "ybe", "--config", str(cfg))
         assert code == 2 and "unknown config keys" in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["generate", "ghz"], {"n": "5"}),
+        (["generate", "ghz", "--n", "3"], {"theta": [1]}),
+        (["generate", "basis-superpose", "--state", "0101"], {"s": 5}),
+        (["generate", "ghz", "--n", "3"], {"a_sign": True}),
+        (["generate", "ghz", "--n", "3"], {"theta": 10 ** 400}),
+        (["verify", "ybe"], [1, 2]),
+        (["verify", "ybe"], "pi/8"),
+        (["verify", "ybe"], {"format": "xml"}),
+        (["entropy", "--state", "0101", "--cut", "abc"], None),
+        (["entropy", "--state", "01a1"], None),
+        (["generate", "ghz", "--n", "3", "--theta", "1e308"], None),
+    ])
+    def test_input_errors_exit_2(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("flag", ["--config", "--state"])
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = (["verify", "ybe", "--config", str(path)] if flag == "--config"
+                else ["entropy", "--state", f"@{path}"])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_non_object_config_message(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "verify", "ybe", "--config", str(cfg))
+        assert code == 2 and "not hold a JSON object" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "verify", "ybe", "--format", "json",
@@ -297,3 +341,85 @@ class TestConfigAndOutput:
         assert "|00>" in out and "|11>" in out
         # 12-significant-digit amplitudes
         assert "-0.707106781187" in out
+
+
+# ---- fuzz: argv that argparse accepts, plus --config files of any JSON ----
+
+def _flag(name, values):
+    """An optional `--name=value` flag, absent or drawn from `values`."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_ANGLES = st.sampled_from(["pi/8", "-pi/8", "pi/6", "pi+pi/8", "3*pi/4",
+                           "0.3", "-0.2", "pi/4", "0", "nan", "inf", "1e308"])
+_BITS = st.text(alphabet="01", max_size=5) | st.text(alphabet="01a ,", max_size=4)
+_INTS = st.integers(-1, 6).map(str)
+_NAMES = st.lists(st.sampled_from(["i", "x", "y", "z", "h", "q", "", "cnot"]),
+                  max_size=5).map(",".join)
+_EXPONENTS = st.integers(-3, 3) | st.sampled_from([1_000_001, -(2 ** 70)])
+_WORDS = st.lists(
+    st.tuples(st.integers(0, 4), _EXPONENTS).map(
+        lambda f: f"b{f[0]}^{f[1]}") | st.sampled_from(["b", "x1", "b1^"]),
+    max_size=4).map(" ".join)
+
+
+def _common():
+    parts = [_flag("theta", _ANGLES), _flag("phi", _ANGLES), _flag("k", _INTS),
+             _flag("s", _NAMES), _flag("a-sign", st.sampled_from(["1", "-1"])),
+             _flag("tol", st.sampled_from(["1e-10", "0", "-1", "nan"])),
+             _flag("format", st.sampled_from(["json", "text"]))]
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["verify"]), st.sampled_from(["ybe", "powers", "cnot"])
+              .map(lambda s: [s]), _flag("n", st.integers(1, 5).map(str))),
+    st.tuples(st.just(["generate"]),
+              st.sampled_from(["ghz", "cluster", "basis-superpose"]).map(
+                  lambda s: [s]),
+              _flag("n", _INTS), _flag("state", _BITS),
+              st.sampled_from([[], ["--inverse"]])),
+    st.tuples(st.just(["entropy"]), _BITS.map(lambda b: [f"--state={b}"]),
+              _flag("cut", st.text(alphabet="0123,a ", max_size=4)),
+              _flag("measure", _INTS),
+              _flag("outcome", st.sampled_from(["0", "1"]))),
+    st.tuples(st.just(["apply"]), _WORDS.map(lambda w: [w]),
+              _BITS.map(lambda b: [f"--state={b}"]),
+              _flag("rep", st.sampled_from(["jones", "bell"])),
+              _flag("n", _INTS)),
+)
+_ARGV = st.tuples(_COMMANDS, _common()).map(
+    lambda c: [a for part in c[0] for a in part] + c[1])
+
+# "out" would write files; every other RunConfig key is drawn, next to
+# arbitrary ones
+_KEYS = st.sampled_from(["theta", "phi", "n", "k", "s", "a_sign", "b_sign",
+                         "tol", "seed", "format"]) | st.text(max_size=5)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8)
+    | st.sampled_from([2 ** 40, 10 ** 400]) | st.floats()
+    | st.text(max_size=8) | _ANGLES | st.sampled_from(["pi/", "2**3"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV, config=st.none() | _JSON.map(lambda v: [v]))
+def test_fuzz_cli_exits_cleanly(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config[0]))
+            argv = argv + ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    else:
+        assert err.getvalue() == ""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,22 @@ class TestLUEquivalence:
             lu_equivalent(bell_state(), ghz3(), [IDENTITY_2] * 2)
         with pytest.raises(DimensionMismatchError):
             lu_equivalent(bell_state(), bell_state(), [IDENTITY_2])
+
+
+class TestNormalization:
+    def test_unnormalized_state_refused(self):
+        # |00> + |11> without the 1/sqrt2 once read as 0 bits at rank 2
+        v = np.array([1, 0, 0, 1], dtype=complex)
+        with pytest.raises(DomainError, match="norm"):
+            entanglement_report(v, [1])
+
+    def test_cli_refuses_unnormalized_file(self, tmp_path, capsys):
+        from tlbraid.cli import main
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes":
+                                    [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+        assert main(["entropy", "--state", f"@{path}"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 class TestReportJson:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
-                     RepShape, check_tl_relations, is_hermitian, kron_all,
-                     local_blocks, max_abs, tl_params, tl_projectors)
+                     RepShape, check_tl_relations, gate, is_hermitian,
+                     jones_pairs, kron_all, local_blocks, max_abs, tl_params,
+                     tl_projectors)
 from tlbraid.gates import HADAMARD, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from tlbraid.tla import (default_involution_spec, involution_matrix,
                          involution_spec)
@@ -225,3 +228,82 @@ class TestRelations:
         assert set(obj) >= {"relations", "pass", "tol"}
         assert all(set(r) >= {"relation_name", "max_residual", "pass"}
                    for r in obj["relations"])
+
+
+class TestSlotChainPairs:
+    """The (P, Q) pair algebra against the dense matrices it stands for."""
+
+    def pairs(self, names=("h", "y", "x"), k=2, theta=-np.pi / 8, phi=0.7):
+        shape = RepShape(len(names) + 1, k)
+        return jones_pairs(shape, tl_params(theta, phi), involution_spec(names))
+
+    def test_products_match_dense(self):
+        pairs = self.pairs()
+        ops = pairs.projectors + pairs.generators + pairs.inverses
+        for x in ops:
+            for y in ops:
+                assert max_abs((x @ y).dense() - x.dense() @ y.dense()) < 1e-15
+
+    def test_dagger_matches_dense(self):
+        for op in self.pairs().generators:
+            assert max_abs(op.dagger().dense() - op.dense().conj().T) == 0.0
+
+    def test_inverses_are_inverse_and_adjoint(self):
+        pairs = self.pairs()
+        eye = np.eye(16)
+        for b, binv in zip(pairs.generators, pairs.inverses):
+            assert max_abs((b @ binv).dense() - eye) < 1e-15
+            assert max_abs(binv.dense() - b.dagger().dense()) < 1e-15
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 7, 16, 1000])
+    def test_power_matches_matrix_power(self, exponent):
+        b2 = self.pairs().generators[1]
+        dense = np.linalg.matrix_power(b2.dense(), exponent)
+        assert max_abs((b2 ** exponent).dense() - dense) < 1e-12
+
+    def test_power_needs_positive_exponent(self):
+        with pytest.raises(DomainError):
+            self.pairs().generators[0] ** 0
+
+    def test_products_keep_the_grading(self):
+        b1, b2 = self.pairs().generators
+        op = (b1 @ b2.dagger()) ** 5
+        assert op.diag_block[0, 1] == 0 and op.diag_block[1, 0] == 0
+        assert op.offdiag_block[0, 0] == 0 and op.offdiag_block[1, 1] == 0
+
+    def test_off_grade_block_refused(self):
+        E1, E2 = self.pairs().projectors
+        with pytest.raises(DomainError, match="antidiagonal"):
+            replace(E2, offdiag_block=E2.diag_block)
+
+    def test_different_chains_do_not_multiply(self):
+        b1 = self.pairs().generators[0]
+        other = self.pairs(names=("h", "y", "z")).generators[0]
+        with pytest.raises(DimensionMismatchError):
+            b1 @ other
+        with pytest.raises(DimensionMismatchError):
+            b1 @ self.pairs(k=3).generators[0]
+
+    def test_spec_length_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            jones_pairs(RepShape(3, 1), tl_params(np.pi / 8),
+                        involution_spec(["x"]))
+
+    def test_projectors_are_the_dense_pairs(self):
+        shape = RepShape(4, 2)
+        p, spec = tl_params(np.pi / 6, 1.1), involution_spec(("h", "y", "x"))
+        E1, E2 = tl_projectors(shape, p, spec)
+        P1, P2 = jones_pairs(shape, p, spec).projectors
+        assert np.array_equal(E1, P1.dense()) and np.array_equal(E2, P2.dense())
+
+
+class TestNamedInvolutions:
+    @pytest.mark.parametrize("name", ["I", "x", "Y", "z", "H", "sigma1",
+                                      "sigma2", "Sigma3"])
+    def test_names_resolve_through_gates(self, name):
+        assert np.array_equal(involution_matrix(name), gate(name))
+
+    @pytest.mark.parametrize("name", ["cnot", "alpha", "delta"])
+    def test_other_gates_are_not_involution_names(self, name):
+        with pytest.raises(DomainError, match="unknown involution"):
+            involution_matrix(name)

@@ -4,8 +4,8 @@ import pytest
 from tlbraid import (RepShape, check_tl_relations, jones_representation,
                      max_abs, tl_params, tl_projectors)
 from tlbraid.tla import involution_spec
-from tlbraid.verify import (GRID_PHIS, GRID_THETAS, iter_grid,
-                            run_braid_suite, run_cnot_suite, run_powers_suite,
+from tlbraid.verify import (GRID_PHIS, GRID_THETAS, _iter_assembled,
+                            iter_grid, run_braid_suite, run_cnot_suite, run_powers_suite,
                             run_suite, run_tla_suite, run_ybe_suite)
 
 
@@ -83,3 +83,14 @@ def test_failure_aggregation_records_worst_point():
     assert not report.passed
     worst = report.failures()[0]
     assert "theta=" in worst.worst_at
+
+
+def test_hoisted_assembly_matches_tl_projectors():
+    # every point of the n <= 4 grid: E1 exactly, E2 to rounding
+    points = 0
+    for p, shape, names, E1, E2 in _iter_assembled(ns=(1, 2, 3, 4)):
+        ref1, ref2 = tl_projectors(shape, p, involution_spec(names))
+        assert max_abs(E1 - ref1) == 0.0
+        assert max_abs(E2 - ref2) < 1e-15
+        points += 1
+    assert points == sum(n * 5 ** (n - 1) for n in range(1, 5)) * 10
