@@ -22,7 +22,7 @@ from .braidrep import BraidRepresentation, bell_matrix
 from .errors import BraidSyntaxError, DimensionMismatchError, DomainError
 from .linalg import dagger
 from .states import apply_structured
-from .tla import StructuredBraidOp, jones_pairs
+from .tla import StructuredBraidOp
 
 _FACTOR_RE = re.compile(r"b(\d+)(?:\^([+-]?\d+))?\Z")
 
@@ -73,10 +73,10 @@ def render(word: BraidWord) -> str:
 
 def _check_compat(word: BraidWord, rep: BraidRepresentation) -> None:
     top = max(i for i, _ in word.factors)
-    if top > len(rep.generators):
+    if top > rep.strands - 1:
         raise DomainError(
             f"word uses b{top} but the {rep.family} representation has "
-            f"{len(rep.generators)} generators"
+            f"{rep.strands - 1} generators"
         )
 
 
@@ -96,7 +96,7 @@ def fold(word: BraidWord, rep: BraidRepresentation) -> StructuredBraidOp:
     _check_compat(word, rep)
     if rep.family != "jones":
         raise DomainError(f"only jones words fold into a pair, not {rep.family}")
-    pairs = jones_pairs(rep.shape, rep.params, rep.spec)
+    pairs = rep.pairs
     return reduce(operator.matmul, (
         (pairs.generators if e > 0 else pairs.inverses)[i - 1] ** abs(e)
         for i, e in word.factors))

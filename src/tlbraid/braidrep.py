@@ -1,24 +1,30 @@
 """Unitary braid-group representations and their defining-relation checks.
 
-Two families:
+Two families, each held by its definition:
 
   * "jones": three-strand generators b_i = A h_i + A^{-1} I built from the
-    Temperley-Lieb pair h_i = d E_i of `tla` (two generators, 2^n x 2^n),
+    Temperley-Lieb pair h_i = d E_i of `tla`, kept as the slot-chain pairs
+    of `tla.jones_pairs`,
   * "bell": the m-strand tensor representation b_i = I x..x R x..x I with
     the 4x4 Bell matrix R in slots (i, i+1).
+
+The 2^n x 2^n generator matrices are built, under the dense cap, only when
+something reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import dagger, kron_all, max_abs
+from .errors import DimensionMismatchError, DomainError
+from .linalg import dagger, kron_all, matrix_to_json, max_abs
 from .reports import RelationReport
-from .tla import InvolutionSpec, RepShape, TLParams, jones_pairs
+from .tla import (InvolutionSpec, JonesPairs, RepShape, TLParams,
+                  _check_capacity, jones_pairs)
 
 _BELL = (1.0 / np.sqrt(2.0)) * np.array(
     [[1, 0, 0, -1],
@@ -36,27 +42,43 @@ def bell_matrix() -> np.ndarray:
 class BraidRepresentation:
     family: str                 # "jones" | "bell"
     strands: int
-    generators: tuple[np.ndarray, ...]
-    inverses: tuple[np.ndarray, ...]
-    params: Optional[TLParams] = None
-    shape: Optional[RepShape] = None
-    spec: Optional[InvolutionSpec] = None
+    pairs: Optional[JonesPairs] = None      # jones only
 
     def __post_init__(self):
-        dim = self.generators[0].shape[0]
-        eye = np.eye(dim)
-        for i, (g, gi) in enumerate(zip(self.generators, self.inverses), start=1):
-            if max_abs(dagger(g) @ g - eye) > 1e-12:
-                raise DomainError(f"generator b{i} is not unitary")
-            if max_abs(g @ gi - eye) > 1e-12:
-                raise DomainError(f"b{i} * b{i}^-1 deviates from identity")
+        if self.strands < 2:
+            raise DomainError(f"need at least 2 strands, got {self.strands}")
+        if self.family != ("jones" if self.pairs else "bell") or \
+                self.pairs and self.strands != 3:
+            raise DomainError("a jones representation holds its pairs and "
+                              "three strands, a bell one no pairs")
+        if self.pairs:
+            for b in self.pairs.generators + self.pairs.inverses:
+                b.require_unitary()
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0]
+        """Length of the states it acts on."""
+        return 1 << (self.pairs.generators[0].shape.n if self.pairs
+                     else self.strands)
+
+    @cached_property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """The dense generator matrices (dense cap applies)."""
+        if self.pairs:
+            return tuple(b.dense() for b in self.pairs.generators)
+        _check_capacity(self.strands)
+        eye = np.eye(2, dtype=np.complex128)
+        m = self.strands
+        return tuple(kron_all(*[eye] * (i - 1), _BELL, *[eye] * (m - i - 1))
+                     for i in range(1, m))
+
+    @cached_property
+    def inverses(self) -> tuple[np.ndarray, ...]:
+        if self.pairs:
+            return tuple(b.dense() for b in self.pairs.inverses)
+        return tuple(dagger(g) for g in self.generators)
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
         return {
             "family": self.family,
             "strands": self.strands,
@@ -70,37 +92,19 @@ def jones_representation(p: TLParams, shape: RepShape,
     """Three-strand representation b_i = A h_i + A^{-1} I, h_i = d E_i.
 
     The inverse is b_i^{-1} = A^{-1} h_i + A I; both are exact consequences
-    of h_i^2 = d h_i.  The matrices are the dense forms of `jones_pairs`.
+    of h_i^2 = d h_i.  Each is a pair of `jones_pairs`, checked unitary.
     """
-    pairs = jones_pairs(shape, p, spec)
-    return BraidRepresentation(
-        family="jones", strands=3,
-        generators=tuple(b.dense() for b in pairs.generators),
-        inverses=tuple(b.dense() for b in pairs.inverses),
-        params=p, shape=shape, spec=spec,
-    )
+    return BraidRepresentation("jones", 3, jones_pairs(shape, p, spec))
 
 
 def bell_representation(m: int) -> BraidRepresentation:
     """m-strand tensor representation with the Bell matrix in slot (i, i+1)."""
-    if m < 2:
-        raise DomainError(f"need at least 2 strands, got {m}")
-    if m > 12:
-        raise CapacityError(f"bell representation on {m} qubits exceeds the dense cap")
-    eye = np.eye(2, dtype=np.complex128)
-    gens = tuple(
-        kron_all(*[eye] * (i - 1), _BELL, *[eye] * (m - i - 1))
-        for i in range(1, m)
-    )
-    invs = tuple(dagger(g) for g in gens)
-    return BraidRepresentation(family="bell", strands=m,
-                               generators=gens, inverses=invs)
+    return BraidRepresentation("bell", m)
 
 
-def check_braid_relations(rep: BraidRepresentation,
+def check_braid_relations(gens: Sequence[np.ndarray],
                           tol: float = 1e-10) -> RelationReport:
     """Residuals of all far-commutation and adjacent braid relations."""
-    gens = rep.generators
     named = []
     for i in range(len(gens) - 1):
         bi, bj = gens[i], gens[i + 1]
@@ -117,7 +121,7 @@ def check_braid_relations(rep: BraidRepresentation,
     for i, g in enumerate(gens, start=1):
         named.append((
             f"unitary_b{i}",
-            max_abs(dagger(g) @ g - np.eye(rep.dim)),
+            max_abs(dagger(g) @ g - np.eye(g.shape[0])),
         ))
     return RelationReport.from_residuals(named, tol)
 
@@ -144,7 +148,6 @@ def _root_of_unity_order(A: complex, max_order: int = 1024,
 
 
 def generator_power_identity(rep: BraidRepresentation,
-                             p: Optional[TLParams] = None,
                              tol: float = 1e-10) -> RelationReport:
     """Non-faithfulness power identities.
 
@@ -160,8 +163,7 @@ def generator_power_identity(rep: BraidRepresentation,
             named.append((f"b{i}^8_eq_I", max_abs(np.linalg.matrix_power(g, 8) - eye)))
         return RelationReport.from_residuals(named, tol)
 
-    if p is None:
-        p = rep.params
+    p = rep.pairs.generators[0].params
     m = _root_of_unity_order(p.A)
     if m is None:
         return RelationReport(

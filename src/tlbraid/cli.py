@@ -156,6 +156,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     cfg.params()    # reject out-of-domain theta at load time
+    if cfg.tol is not None and not 0 <= cfg.tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {cfg.tol}")
     return cfg
 
 

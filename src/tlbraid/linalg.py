@@ -7,8 +7,10 @@ Conventions used throughout the package:
   * qubit 1 is the leftmost tensor factor and the most significant bit of
     the amplitude index, so |a1 a2 ... an> sits at index sum a_j 2**(n-j),
   * no function mutates its inputs,
-  * dense matrices are capped at 2**12 x 2**12 (DENSE_CAP_DIM); larger
-    qubit counts are served only by the structured path in `states`.
+  * dense matrices are capped at 2**12 x 2**12 (DENSE_CAP_DIM) where they
+    are asked for (`braidlang.evaluate`, a representation's `.generators`,
+    `tla.tl_projectors`); braid words act on states of any size up to the
+    structured cap of `states` without them.
 
 JSON interchange: complex numbers are two-element [re, im] lists; matrices
 are {"rows", "cols", "entries"} with row-major entries; states are

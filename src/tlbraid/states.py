@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import dagger, max_abs, num_qubits
+from .linalg import max_abs, num_qubits
 from .tla import (InvolutionSpec, RepShape, StructuredBraidOp, TLParams,
                   default_involution_spec, jones_pairs, tl_params)
 
@@ -108,11 +108,7 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
         )
     b1, b2 = jones_pairs(shape, params, spec).generators
     op = b1 @ b2
-    p, q = op.diag_block, op.offdiag_block
-    residual = max(max_abs(dagger(p) @ p + dagger(q) @ q - np.eye(2)),
-                   max_abs(dagger(p) @ q + dagger(q) @ p))
-    if residual > 1e-14:
-        raise DomainError(f"B(n,k) pair deviates from unitarity by {residual:.3e}")
+    op.require_unitary()
     if n <= 8:
         residual = max_abs(op.dense() - b1.dense() @ b2.dense())
         if residual > 1e-12:

@@ -67,11 +67,12 @@ def tl_params(theta: float, phi: float = 0.0,
             f"theta={theta:.6g} gives d={d:.6g} with d^2 < 1; admissible "
             "ranges are |theta mod pi| <= pi/6 or |theta mod pi - pi/2| <= pi/6"
         )
-    a = a_sign / abs(d)
     # snap the boundary: at |d| = 1 rounding noise in d would otherwise
-    # inflate b = sqrt(1 - 1/d^2) from 0 to ~1e-8
+    # inflate b = sqrt(1 - 1/d^2) from 0 to ~1e-8, and a = 1/|d| must stay
+    # 1 there so that a^2 + b^2 = 1 keeps E2 a projector
     b_sq = 1.0 - 1.0 / (d * d)
-    b = b_sign * np.sqrt(b_sq) if b_sq > 1e-14 else 0.0
+    a, b = ((a_sign / abs(d), b_sign * np.sqrt(b_sq)) if b_sq > 1e-14
+            else (float(a_sign), 0.0))
     return TLParams(theta=theta, phi=phi, a_sign=a_sign, b_sign=b_sign,
                     A=np.exp(1j * theta), d=d, a=a, b=b)
 
@@ -220,6 +221,16 @@ class StructuredBraidOp:
     def dagger(self) -> "StructuredBraidOp":
         return replace(self, diag_block=dagger(self.diag_block),
                        offdiag_block=dagger(self.offdiag_block))
+
+    def require_unitary(self) -> None:
+        """Raise DomainError unless P^+P + Q^+Q = I and P^+Q + Q^+P = 0,
+        the unitarity of the operator the pair stands for."""
+        p, q = self.diag_block, self.offdiag_block
+        residual = max(max_abs(dagger(p) @ p + dagger(q) @ q - np.eye(2)),
+                       max_abs(dagger(p) @ q + dagger(q) @ p))
+        if residual > 1e-14:
+            raise DomainError(
+                f"slot-chain pair deviates from unitarity by {residual:.3e}")
 
     def dense(self) -> np.ndarray:
         """Materialize the 2^n x 2^n matrix (dense cap applies)."""

@@ -17,10 +17,10 @@ import numpy as np
 from .braidrep import (bell_matrix, bell_representation, check_yang_baxter,
                        generator_power_identity, jones_representation)
 from .gates import verify_cnot_decomposition, verify_psi_ghz_relation
-from .linalg import dagger, max_abs
+from .linalg import dagger, kron_all, max_abs
 from .reports import RelationReport, ReportAccumulator
-from .tla import (RepShape, check_tl_relations, default_involution_spec,
-                  tl_params)
+from .tla import (RepShape, TLParams, check_tl_relations,
+                  default_involution_spec, involution_matrix, tl_params)
 
 GRID_THETAS: tuple[float, ...] = (
     np.pi / 8, -np.pi / 8, np.pi / 6, np.pi + np.pi / 8, np.pi - np.pi / 8,
@@ -35,38 +35,18 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
               ns: Optional[Sequence[int]] = None,
               ks: Optional[Sequence[int]] = None,
               involutions: Optional[Sequence[str]] = None,
-              ) -> Iterator[tuple[float, float, RepShape, tuple[str, ...]]]:
-    """Yield (theta, phi, shape, involution names) over the product grid."""
-    thetas = GRID_THETAS if thetas is None else tuple(thetas)
-    phis = GRID_PHIS if phis is None else tuple(phis)
-    ns = GRID_NS if ns is None else tuple(ns)
-    involutions = GRID_INVOLUTIONS if involutions is None else tuple(involutions)
-    for n in ns:
-        k_range = range(1, n + 1) if ks is None else [k for k in ks if k <= n]
-        for k in k_range:
-            for names in itertools.product(involutions, repeat=n - 1):
-                for theta in thetas:
-                    for phi in phis:
-                        yield theta, phi, RepShape(n=n, k=k), names
+              ) -> Iterator[tuple[TLParams, RepShape, tuple[str, ...],
+                                  np.ndarray, np.ndarray]]:
+    """Yield (params, shape, involution names, E1, E2) over the product grid.
 
-
-def _point_label(theta, phi, shape, names) -> str:
-    s = ",".join(names) if names else "-"
-    return f"theta={theta:.6g} phi={phi:.6g} n={shape.n} k={shape.k} s={s}"
-
-
-def _iter_assembled(thetas=None, phis=None, ns=None, ks=None,
-                    involutions=None):
-    """Grid points with (E1, E2) assembled with the theta-independent kron
-    work (E1 and the involution-dressed e3 chain) hoisted out of the theta
-    loop.  The tests check every point against `tl_projectors`.
+    The theta-independent kron work (E1 and the involution-dressed e3
+    chain) is hoisted out of the theta loop; the tests check every point
+    against `tl_projectors`.
     """
     thetas = GRID_THETAS if thetas is None else tuple(thetas)
     phis = GRID_PHIS if phis is None else tuple(phis)
     ns = GRID_NS if ns is None else tuple(ns)
     involutions = GRID_INVOLUTIONS if involutions is None else tuple(involutions)
-    from .linalg import kron_all
-    from .tla import involution_matrix
     inv_table = {name: involution_matrix(name) for name in involutions}
     params_cache = {
         (theta, phi): tl_params(theta, phi)
@@ -94,10 +74,15 @@ def _iter_assembled(thetas=None, phis=None, ns=None, ks=None,
                         yield p, shape, names, E1, E2
 
 
+def _point_label(theta, phi, shape, names) -> str:
+    s = ",".join(names) if names else "-"
+    return f"theta={theta:.6g} phi={phi:.6g} n={shape.n} k={shape.k} s={s}"
+
+
 def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Temperley-Lieb relations (projector and h-form) across the grid."""
     acc = ReportAccumulator(tol)
-    for p, shape, names, E1, E2 in _iter_assembled(**grid_kwargs):
+    for p, shape, names, E1, E2 in iter_grid(**grid_kwargs):
         point = _point_label(p.theta, p.phi, shape, names)
         for check in check_tl_relations(E1, E2, p, tol).checks:
             acc.add(check.name, check.residual, point)
@@ -108,7 +93,7 @@ def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
 def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Braid relation, unitarity, and inverse checks across the grid."""
     acc = ReportAccumulator(tol)
-    for p, shape, names, E1, E2 in _iter_assembled(**grid_kwargs):
+    for p, shape, names, E1, E2 in iter_grid(**grid_kwargs):
         point = _point_label(p.theta, p.phi, shape, names)
         eye = np.eye(E1.shape[0], dtype=np.complex128)
         A = p.A
@@ -138,8 +123,8 @@ def run_powers_suite(theta: float = np.pi / 8, phi: float = 0.0,
     p = tl_params(theta, phi)
     shape = RepShape(n=2, k=1)
     jones = jones_representation(p, shape, default_involution_spec(shape))
-    jrep = generator_power_identity(jones)
-    brep = generator_power_identity(bell_representation(3))
+    jrep = generator_power_identity(jones, tol)
+    brep = generator_power_identity(bell_representation(3), tol)
     return RelationReport(
         checks=jrep.checks + brep.checks, tol=tol,
         applicable=jrep.applicable, note=jrep.note,
@@ -162,18 +147,19 @@ def run_suite(name: str, tol: Optional[float] = None,
     """Run one named suite (or "all"); returns {suite_name: report}."""
     names: Iterable[str] = SUITES if name == "all" else (name,)
     out = {}
+    default = 1e-10 if tol is None else tol
     for suite in names:
         if suite == "tla":
-            out[suite] = run_tla_suite(tol=tol or 1e-10, **grid_kwargs)
+            out[suite] = run_tla_suite(tol=default, **grid_kwargs)
         elif suite == "braid":
-            out[suite] = run_braid_suite(tol=tol or 1e-10, **grid_kwargs)
+            out[suite] = run_braid_suite(tol=default, **grid_kwargs)
         elif suite == "ybe":
-            out[suite] = run_ybe_suite(tol=tol or 1e-14)
+            out[suite] = run_ybe_suite(tol=1e-14 if tol is None else tol)
         elif suite == "powers":
             thetas = grid_kwargs.get("thetas") or (np.pi / 8,)
             phis = grid_kwargs.get("phis") or (0.0,)
             out[suite] = run_powers_suite(theta=thetas[0], phi=phis[0],
-                                          tol=tol or 1e-10)
+                                          tol=default)
         elif suite == "cnot":
             thetas = grid_kwargs.get("thetas") or (np.pi / 8,)
             out[suite] = run_cnot_suite(theta=thetas[0])

@@ -11,7 +11,8 @@ from tlbraid import (BraidSyntaxError, DimensionMismatchError, DomainError,
                      render, tl_params)
 from tlbraid.braidlang import BraidWord, fold
 from tlbraid.states import basis_state
-from tlbraid.tla import default_involution_spec, involution_spec
+from tlbraid.tla import (StructuredBraidOp, default_involution_spec,
+                         involution_spec)
 
 from conftest import random_state
 
@@ -207,6 +208,24 @@ class TestEvaluateOnState:
     def test_bell_word_does_not_fold(self):
         with pytest.raises(DomainError, match="jones"):
             fold(parse("b1"), bell_representation(3))
+
+    @pytest.mark.parametrize("family", ["jones", "bell"])
+    def test_builds_no_dense_generator(self, rng, monkeypatch, family):
+        def refuse(*args):
+            raise AssertionError("dense generator built")
+        monkeypatch.setattr(StructuredBraidOp, "dense", refuse)
+        monkeypatch.setattr("tlbraid.braidrep.kron_all", refuse)
+        n = 6
+        if family == "jones":
+            shape = RepShape(n, 2)
+            rep = jones_representation(tl_params(np.pi / 8), shape,
+                                       default_involution_spec(shape))
+            word = parse("b1 b2^-1 b1^3", declared_strands=3)
+        else:
+            rep = bell_representation(n)
+            word = parse("b1 b5^-1 b3^2", declared_strands=n)
+        evaluate_on_state(word, rep, random_state(rng, n))
+        assert not {"generators", "inverses"} & set(vars(rep))
 
     @pytest.mark.parametrize("family", ["jones", "bell"])
     def test_peak_memory_is_state_sized(self, rng, family):

@@ -1,15 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      RepShape, bell_matrix, bell_representation,
-                     check_braid_relations, check_yang_baxter, dagger,
+                     check_braid_relations, check_yang_baxter,
                      generator_power_identity, is_unitary,
                      jones_representation, max_abs, tl_params)
+from tlbraid.braidrep import BraidRepresentation
 from tlbraid.gates import CNOT, PAULI_X
 from tlbraid.tla import default_involution_spec, involution_spec
-
-from conftest import random_unitary
 
 
 def det2(m):
@@ -42,7 +43,7 @@ class TestJones:
         assert rep.dim == 8
         b1, b2 = rep.generators
         assert max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2) < 1e-12
-        report = check_braid_relations(rep, 1e-12)
+        report = check_braid_relations(rep.generators, 1e-12)
         assert report.passed
 
     def test_strand_count_is_three(self):
@@ -76,27 +77,47 @@ class TestBell:
         assert max_abs(b1 @ b3 - b3 @ b1) == 0.0
 
     def test_m5_all_relations(self):
-        report = check_braid_relations(bell_representation(5), 1e-13)
+        report = check_braid_relations(bell_representation(5).generators,
+                                       1e-13)
         assert report.passed
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            bell_representation(13)
+            bell_representation(13).generators
         with pytest.raises(DomainError):
             bell_representation(1)
+
+
+class TestDefinitionOnly:
+    def test_build_at_20_qubits_holds_no_matrix(self):
+        shape = RepShape(20, 7)
+        spec = default_involution_spec(shape)
+        p = tl_params(np.pi / 8)
+        tracemalloc.start()
+        try:
+            reps = (jones_representation(p, shape, spec),
+                    bell_representation(20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert [r.dim for r in reps] == [1 << 20] * 2
+        for rep in reps:
+            with pytest.raises(CapacityError):
+                rep.generators
+
+    def test_matrices_built_once_on_request(self):
+        rep, _ = jones_rep(n=3, k=2)
+        assert "generators" not in vars(rep)
+        assert rep.generators is rep.generators
+        assert rep.inverses[0].shape == (8, 8)
 
 
 class TestBraidRelationCounterexample:
     def test_sigma1_and_phase_diag_fail(self):
         # sigma1 and diag(1, i) are unitary but do not braid
-        from tlbraid.braidrep import BraidRepresentation
         d = np.diag([1.0, 1j]).astype(complex)
-        rep = BraidRepresentation(
-            family="bell", strands=3,
-            generators=(PAULI_X, d),
-            inverses=(PAULI_X, dagger(d)),
-        )
-        report = check_braid_relations(rep, 1e-10)
+        report = check_braid_relations((PAULI_X, d), 1e-10)
         assert not report.passed
         braid = [c for c in report.checks if c.name == "braid_b1b2b1"]
         assert braid and abs(braid[0].residual - 1.0) < 1e-12
@@ -130,8 +151,8 @@ class TestYangBaxter:
 
 class TestPowerIdentities:
     def test_theta_pi_8_order_16(self):
-        rep, p = jones_rep()
-        report = generator_power_identity(rep, p)
+        rep, _ = jones_rep()
+        report = generator_power_identity(rep)
         assert report.applicable
         assert "least m with A^m=1: 16" in report.note
         names = {c.name for c in report.checks}
@@ -139,8 +160,8 @@ class TestPowerIdentities:
         assert report.passed and report.max_residual <= 1e-10
 
     def test_theta_pi_6_order_12(self):
-        rep, p = jones_rep(theta=np.pi / 6)
-        report = generator_power_identity(rep, p)
+        rep, _ = jones_rep(theta=np.pi / 6)
+        report = generator_power_identity(rep)
         assert "least m with A^m=1: 12" in report.note
         assert report.passed
 
@@ -151,27 +172,28 @@ class TestPowerIdentities:
         assert r8 and r8[0].residual <= 1e-13
 
     def test_non_root_of_unity_not_applicable(self):
-        rep, p = jones_rep(theta=0.1)
-        report = generator_power_identity(rep, p)
+        rep, _ = jones_rep(theta=0.1)
+        report = generator_power_identity(rep)
         assert not report.applicable
         assert report.passed  # vacuous
         assert "not applicable" in report.note
 
 
 class TestRepresentationValidation:
-    def test_rejects_non_unitary_generator(self):
-        from tlbraid.braidrep import BraidRepresentation
-        bad = np.diag([1.0, 0.5]).astype(complex)
-        with pytest.raises(DomainError, match="unitary"):
-            BraidRepresentation(family="bell", strands=2,
-                                generators=(bad,), inverses=(bad,))
+    def test_rejects_non_unitary_pair(self):
+        # the projector pairs E_i are not unitary generators
+        pairs = jones_rep()[0].pairs
+        with pytest.raises(DomainError, match="unitarity"):
+            BraidRepresentation("jones", 3, pairs._replace(
+                generators=pairs.projectors))
 
-    def test_rejects_wrong_inverse(self, rng):
-        from tlbraid.braidrep import BraidRepresentation
-        u = random_unitary(rng, 4)
-        with pytest.raises(DomainError, match="identity"):
-            BraidRepresentation(family="bell", strands=2,
-                                generators=(u,), inverses=(u,))
+    @pytest.mark.parametrize("family, strands, with_pairs", [
+        ("jones", 3, False), ("bell", 3, True), ("braid", 3, False),
+        ("jones", 4, True)])
+    def test_rejects_mismatched_definition(self, family, strands, with_pairs):
+        pairs = jones_rep()[0].pairs if with_pairs else None
+        with pytest.raises(DomainError, match="pairs"):
+            BraidRepresentation(family, strands, pairs)
 
     @pytest.mark.parametrize("theta,phi,names", [
         (np.pi / 8, 0.0, ("x", "x", "x")),

@@ -10,9 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tlbraid import state_to_json
+from tlbraid import (RepShape, bell_representation, evaluate,
+                     jones_representation, max_abs, parse, state_to_json,
+                     tl_params)
 from tlbraid.cli import main, parse_angle
 from tlbraid.states import basis_state
+from tlbraid.tla import involution_spec
+
+from conftest import random_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -91,6 +96,19 @@ class TestVerify:
         code, obj, _ = run_json(capsys, "verify", "ybe")
         assert code == 0
         assert obj["reports"]["ybe"]["tol"] == 1e-14
+
+    def test_zero_tol_is_kept(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "tla", "--n", "1",
+                                "--tol", "0")
+        assert code in (0, 1)
+        assert obj["reports"]["tla"]["tol"] == 0.0
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code, _, err = run_cli(capsys, "verify", "tla", "--n", "1",
+                               f"--tol={tol}")
+        assert code == 2
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_cnot_suite(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "cnot")
@@ -200,6 +218,31 @@ class TestApply:
         amps = [complex(re, im) for re, im in obj["state"]["amplitudes"]]
         assert abs(amps[0] - S2) < 1e-13 and abs(amps[3] - S2) < 1e-13
 
+    @pytest.mark.parametrize("rep_name", ["bell", "jones"])
+    def test_beyond_the_dense_cap(self, capsys, tmp_path, rng, rep_name):
+        # 14 qubits, v9 x |00000>, and a word that acts on qubits 1..9 only
+        v9 = random_state(rng, 9)
+        names = ["x", "h", "y", "z", "x", "i", "h", "y"] + ["i"] * 5
+        if rep_name == "bell":
+            text, flags = "b1 b8^-1 b4^3 b2", []
+            small = bell_representation(9)
+        else:
+            text = "b1 b2^-1 b1^3 b2^5"
+            flags = ["--k", "4", "--theta=-pi/8", "--phi", "pi/3",
+                     "--s", ",".join(names)]
+            small = jones_representation(tl_params(-math.pi / 8, math.pi / 3),
+                                         RepShape(9, 4),
+                                         involution_spec(names[:8]))
+        ref = write_state(tmp_path, np.kron(v9, basis_state("00000")))
+        code, obj, _ = run_json(capsys, "apply", text, "--rep", rep_name,
+                                "--state", ref, *flags)
+        assert code == 0
+        out = np.array([complex(re, im)
+                        for re, im in obj["state"]["amplitudes"]])
+        word = parse(text, declared_strands=small.strands)
+        expected = np.kron(evaluate(word, small) @ v9, basis_state("00000"))
+        assert max_abs(out - expected) < 1e-12
+
 
 class TestEntropy:
     def test_ghz3_measure_qubit1_separable(self, capsys, tmp_path):
@@ -300,6 +343,7 @@ class TestConfigAndOutput:
         (["entropy", "--state", "0101", "--cut", "abc"], None),
         (["entropy", "--state", "01a1"], None),
         (["generate", "ghz", "--n", "3", "--theta", "1e308"], None),
+        (["verify", "ybe"], {"tol": -1}),
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv, config):
         if config is not None:

@@ -5,8 +5,8 @@ import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      RepShape, check_tl_relations, gate, is_hermitian,
-                     jones_pairs, kron_all, local_blocks, max_abs, tl_params,
-                     tl_projectors)
+                     jones_pairs, kron_all, local_blocks, max_abs,
+                     structured_braid_op, tl_params, tl_projectors)
 from tlbraid.gates import HADAMARD, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from tlbraid.tla import (default_involution_spec, involution_matrix,
                          involution_spec)
@@ -34,6 +34,18 @@ class TestParams:
         assert abs(p.d + 1.0) < 1e-15
         assert abs(p.a ** 2 - 1.0) < 1e-14
         assert p.b == 0.0
+
+    @pytest.mark.parametrize("eps", [-9e-15, 1e-13, 9e-13])
+    def test_generators_unitary_at_the_edge(self, eps):
+        # tl_params admits d^2 down to 1 - 1e-12; a = 1/|d| > 1 there made
+        # the generator pairs non-unitary by about eps
+        p = tl_params(np.arccos(np.sqrt(1 - eps) / 2) / 2, 0.3)
+        assert p.b == 0.0 and p.a == 1.0
+        shape = RepShape(3, 2)
+        spec = default_involution_spec(shape)
+        for b in jones_pairs(shape, p, spec).generators:
+            b.require_unitary()
+        structured_braid_op(shape, p, spec)
 
     def test_pi_4_domain_error(self):
         with pytest.raises(DomainError, match="admissible"):

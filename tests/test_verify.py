@@ -4,8 +4,8 @@ import pytest
 from tlbraid import (RepShape, check_tl_relations, jones_representation,
                      max_abs, tl_params, tl_projectors)
 from tlbraid.tla import involution_spec
-from tlbraid.verify import (GRID_PHIS, GRID_THETAS, _iter_assembled,
-                            iter_grid, run_braid_suite, run_cnot_suite, run_powers_suite,
+from tlbraid.verify import (GRID_PHIS, GRID_THETAS, iter_grid,
+                            run_braid_suite, run_cnot_suite, run_powers_suite,
                             run_suite, run_tla_suite, run_ybe_suite)
 
 
@@ -20,8 +20,10 @@ def test_grid_restriction():
     pts = list(iter_grid(thetas=(np.pi / 8,), phis=(0.0,), ns=(3,), ks=(2,),
                          involutions=("x",)))
     assert len(pts) == 1
-    theta, phi, shape, names = pts[0]
+    p, shape, names, E1, E2 = pts[0]
+    assert (p.theta, p.phi) == (np.pi / 8, 0.0)
     assert shape == RepShape(3, 2) and names == ("x", "x")
+    assert E1.shape == E2.shape == (8, 8)
 
 
 def test_tla_suite_small_grid_matches_direct_checks():
@@ -88,9 +90,19 @@ def test_failure_aggregation_records_worst_point():
 def test_hoisted_assembly_matches_tl_projectors():
     # every point of the n <= 4 grid: E1 exactly, E2 to rounding
     points = 0
-    for p, shape, names, E1, E2 in _iter_assembled(ns=(1, 2, 3, 4)):
+    for p, shape, names, E1, E2 in iter_grid(ns=(1, 2, 3, 4)):
         ref1, ref2 = tl_projectors(shape, p, involution_spec(names))
         assert max_abs(E1 - ref1) == 0.0
         assert max_abs(E2 - ref2) < 1e-15
         points += 1
     assert points == sum(n * 5 ** (n - 1) for n in range(1, 5)) * 10
+
+
+def test_run_suite_keeps_a_zero_tol():
+    for name, report in run_suite("all", tol=0.0, ns=(1,)).items():
+        if name != "cnot":
+            assert report.tol == 0.0
+
+
+def test_powers_suite_checks_at_its_tol():
+    assert not run_powers_suite(tol=1e-20).passed
