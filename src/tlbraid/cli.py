@@ -28,7 +28,7 @@ from .entangle import entanglement_report, measure_qubit
 from .errors import DomainError, TLBraidError
 from .linalg import num_qubits, state_from_json, state_to_json
 from .states import (apply_structured, basis_state, cluster_like_state,
-                     ghz_state, index_to_bits, parse_bits, structured_braid_op)
+                     ghz_state, parse_bits, structured_braid_op)
 from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
                   tl_params)
 from . import braidlang
@@ -79,7 +79,6 @@ class RunConfig:
     a_sign: int = 1
     b_sign: int = 1
     tol: Optional[float] = None
-    seed: int = 0
     format: Literal["text", "json"] = "text"
     out: Optional[str] = None
 
@@ -151,7 +150,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                     f"config key {key!r} needs {hints[key]}, got {value!r:.80}")
             setattr(cfg, key, value)
     for key in ("theta", "phi", "n", "k", "s", "a_sign", "b_sign",
-                "tol", "seed", "format", "out"):
+                "tol", "format", "out"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -161,17 +160,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
 def _state_text(v: np.ndarray) -> str:
     n = num_qubits(v)
     lines = [f"# {n}-qubit state, nonzero amplitudes:"]
-    for idx in range(v.size):
-        if abs(v[idx]) > 1e-14:
-            bits = "".join(str(b) for b in index_to_bits(idx, n))
-            lines.append(f"|{bits}>  {format_complex(v[idx])}")
+    for idx in np.flatnonzero(np.abs(v) > 1e-14):
+        z = v[idx]
+        bits = f"{idx:0{n}b}" if n else ""
+        lines.append(f"|{bits}>  {z.real:.12g}{z.imag:+.12g}i")
     return "\n".join(lines)
 
 
@@ -201,8 +196,24 @@ def _entanglement_text(reports) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: dict, text: str, cfg: RunConfig) -> None:
-    body = json.dumps(payload, indent=2) if cfg.format == "json" else text
+def _emit(cfg: RunConfig, fields: dict, header: list[str],
+          v: Optional[np.ndarray] = None, reports=None) -> None:
+    """Render one result in cfg.format only: the JSON fields, or the text
+    header lines, followed by the state and the cut reports when given."""
+    if cfg.format == "json":
+        payload = dict(fields)
+        if v is not None:
+            payload["state"] = state_to_json(v)
+        if reports is not None:
+            payload["entanglement"] = [r.to_json() for r in reports]
+        body = json.dumps(payload, indent=2)
+    else:
+        parts = list(header)
+        if v is not None:
+            parts.append(_state_text(v))
+        if reports is not None:
+            parts.append(_entanglement_text(reports))
+        body = "\n".join(parts)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(body + "\n")
@@ -249,14 +260,13 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
         dict(suite=name, **c.to_json())
         for name, rep in reports.items() for c in rep.failures()
     ]
-    payload = {
+    fields = {
         "suite": suite,
         "reports": {name: rep.to_json() for name, rep in reports.items()},
         "pass": not failures,
         "failures": failures,
     }
-    text = "\n".join(_report_text(name, rep) for name, rep in reports.items())
-    _emit(payload, text, cfg)
+    _emit(cfg, fields, [_report_text(name, rep) for name, rep in reports.items()])
     return 0 if not failures else 1
 
 
@@ -285,14 +295,7 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
         v = apply_structured(op, basis_state(bits), inverse=inverse)
     else:
         raise DomainError(f"unknown kind {kind!r}")
-    reports = _cut_reports(v, k, tol)
-    payload = {
-        "kind": kind,
-        "state": state_to_json(v),
-        "entanglement": [r.to_json() for r in reports],
-    }
-    text = _state_text(v) + "\n" + _entanglement_text(reports)
-    _emit(payload, text, cfg)
+    _emit(cfg, {"kind": kind}, [], v, _cut_reports(v, k, tol))
     return 0
 
 
@@ -311,9 +314,7 @@ def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
     else:
         raise DomainError(f"unknown representation {rep_name!r}")
     out = braidlang.evaluate_on_state(word, rep, v)
-    payload = {"word": braidlang.render(word), "rep": rep_name,
-               "state": state_to_json(out)}
-    _emit(payload, _state_text(out), cfg)
+    _emit(cfg, {"word": braidlang.render(word), "rep": rep_name}, [], out)
     return 0
 
 
@@ -321,12 +322,15 @@ def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
                 measure: Optional[int], outcome: int) -> int:
     v = _load_state(cfg, state)
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    payload: dict = {}
+    fields: dict = {}
+    header = []
     if measure is not None:
         prob, v = measure_qubit(v, measure, outcome)
-        payload["measurement"] = {
+        fields["measurement"] = {
             "qubit": measure, "outcome": outcome, "probability": prob,
         }
+        header.append(f"# measured qubit {measure} -> {outcome} "
+                      f"with probability {prob:.12g}")
     if cut:
         try:
             subset = [int(tok) for tok in cut.split(",") if tok.strip()]
@@ -334,19 +338,8 @@ def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
             raise DomainError(f"--cut needs a comma list of qubits, got {cut!r}") from None
         reports = [entanglement_report(v, subset, tol=tol)]
     else:
-        n = num_qubits(v)
-        reports = (
-            [entanglement_report(v, [q], tol=tol) for q in range(1, n + 1)]
-            if n > 1 else []
-        )
-    payload["state"] = state_to_json(v)
-    payload["entanglement"] = [r.to_json() for r in reports]
-    text = ""
-    if measure is not None:
-        text += (f"# measured qubit {measure} -> {outcome} "
-                 f"with probability {prob:.12g}\n")
-    text += _state_text(v) + "\n" + _entanglement_text(reports)
-    _emit(payload, text, cfg)
+        reports = _cut_reports(v, None, tol)
+    _emit(cfg, fields, header, v, reports)
     return 0
 
 
@@ -369,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
     common.add_argument("--tol", type=float, default=None,
                         help="override the suite tolerance")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (default 0)")
     common.add_argument("--format", choices=("json", "text"), default=None,
                         help="output format (default text)")
     common.add_argument("--config", default=None,

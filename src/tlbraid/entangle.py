@@ -72,16 +72,22 @@ def reduced_density(v: np.ndarray, subset) -> np.ndarray:
     return m @ m.conj().T
 
 
+def _entropy_bits(lam: np.ndarray) -> float:
+    """-sum lambda log2 lambda over the lambda above 1e-12, rescaled to sum 1."""
+    lam = lam[lam > _EIG_CUTOFF]
+    lam = lam / lam.sum()
+    return float(-np.sum(lam * np.log2(lam))) + 0.0
+
+
 def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, -sum lambda log2 lambda.
 
-    Eigenvalues below 1e-12 are treated as exact zeros.
+    Eigenvalues below 1e-12 are treated as exact zeros, and the rest are
+    rescaled to sum 1, so a pure state reads exactly 0.
     """
     if max_abs(rho - dagger(rho)) > 1e-10:
         raise DomainError("density matrix must be Hermitian")
-    lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > _EIG_CUTOFF]
-    return float(-np.sum(lam * np.log2(lam))) + 0.0
+    return _entropy_bits(np.linalg.eigvalsh(rho))
 
 
 def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.ndarray]:
@@ -100,6 +106,15 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
     return prob, picked / np.sqrt(prob)
 
 
+def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Singular values of the amplitudes reshaped to a validated cut."""
+    m = _cut_matrix(v, keep)
+    if m.shape[0] < m.shape[1]:
+        # R of m^T = QR has m's singular values; an SVD of wide m is slower
+        m = np.linalg.qr(m.T, mode="r")
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def schmidt_rank(v: np.ndarray, bipartition, tol: float = 1e-9) -> int:
     """Number of Schmidt coefficients above tol for the given cut.
 
@@ -108,11 +123,7 @@ def schmidt_rank(v: np.ndarray, bipartition, tol: float = 1e-9) -> int:
     rounding noise of about 1e-17 would read as 3e-9 and count a product cut
     as entangled.
     """
-    m = _cut_matrix(v, _validate_subset(bipartition, num_qubits(v)))
-    if m.shape[0] < m.shape[1]:
-        # R of m^T = QR has m's singular values; an SVD of wide m is slower
-        m = np.linalg.qr(m.T, mode="r")
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = _schmidt_coefficients(v, _validate_subset(bipartition, num_qubits(v)))
     return int(np.count_nonzero(sv > tol))
 
 
@@ -148,16 +159,15 @@ class EntanglementReport:
 def entanglement_report(v: np.ndarray, bipartition,
                         tol: float = 1e-9) -> EntanglementReport:
     """Entropy / Schmidt-rank report for one cut of a normalized pure state."""
-    n = num_qubits(v)
-    keep = _validate_subset(bipartition, n)
-    rho = reduced_density(v, keep)
-    trace = np.trace(rho).real
-    if not abs(trace - 1.0) <= 1e-10:
-        raise DomainError(f"state norm^2 {trace:.6g} is not 1")
-    rank = schmidt_rank(v, keep, tol=tol)
+    keep = _validate_subset(bipartition, num_qubits(v))
+    s = _schmidt_coefficients(v, keep)
+    lam = s * s
+    if not abs(lam.sum() - 1.0) <= 1e-10:
+        raise DomainError(f"state norm^2 {lam.sum():.6g} is not 1")
+    rank = int(np.count_nonzero(s > tol))
     return EntanglementReport(
         bipartition=keep,
-        entropy_bits=vn_entropy(rho),
+        entropy_bits=_entropy_bits(lam),
         schmidt_rank=rank,
         is_product=rank == 1,
     )

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, DomainError
 
-DENSE_CAP_DIM = 2**12
+DENSE_CAP_QUBITS = 12
+DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
 
 #: default tolerance for verification reports
 REPORT_TOL = 1e-10
@@ -179,8 +180,27 @@ def phase_equivalent(u, v, mode: str = "global", tol: float = REPORT_TOL) -> boo
 
 # --- JSON interchange ------------------------------------------------------
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs_to_json(a: np.ndarray) -> list[list[float]]:
+    """Entries of a complex array in row-major order as [re, im] pairs."""
+    pairs = np.ascontiguousarray(a, np.complex128).view(np.float64)
+    return pairs.reshape(-1, 2).tolist()
+
+
+def _pairs_from_json(pairs) -> np.ndarray:
+    """Complex vector from [[re, im], ...]; DomainError for anything else.
+
+    The dtype is checked before converting, since a float conversion would
+    accept "1"; integers beyond 64 bits decode to an object array and are
+    refused with it.
+    """
+    try:
+        a = np.array(pairs)
+    except ValueError:      # ragged nesting
+        a = None
+    if a is None or a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "biuf":
+        raise DomainError("expected [re, im] pairs of numbers "
+                          "(integers within 64 bits)")
+    return np.ascontiguousarray(a, np.float64).view(np.complex128).reshape(-1)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -188,25 +208,28 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "entries": [complex_to_json(z) for z in m.ravel()],
+        "entries": _pairs_to_json(m),
     }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = [complex(re, im) for re, im in obj["entries"]]
-    if len(entries) != rows * cols:
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+    except (TypeError, KeyError, ValueError, OverflowError):
+        raise DomainError('a matrix needs integer "rows" and "cols"') from None
+    entries = _pairs_from_json(obj.get("entries"))
+    if min(rows, cols) < 1 or entries.size != rows * cols:
         raise DimensionMismatchError(
-            f"{len(entries)} entries for a {rows}x{cols} matrix"
+            f"{entries.size} entries for a {rows}x{cols} matrix"
         )
-    return as_matrix(np.array(entries).reshape(rows, cols))
+    return as_matrix(entries.reshape(rows, cols))
 
 
 def state_to_json(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=np.complex128)
     return {
         "n_qubits": num_qubits(v),
-        "amplitudes": [complex_to_json(z) for z in v],
+        "amplitudes": _pairs_to_json(v),
     }
 
 
@@ -216,11 +239,9 @@ def state_from_json(obj: dict) -> np.ndarray:
         raise DomainError('a state needs the keys "n_qubits" and "amplitudes"')
     try:
         n = int(obj["n_qubits"])
-        amps = [complex(re, im) for re, im in obj["amplitudes"]]
-    except (TypeError, ValueError):
-        raise DomainError("a state needs an integer n_qubits and [re, im] "
-                          "number pairs as amplitudes") from None
-    v = as_state(amps)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("a state needs an integer n_qubits") from None
+    v = as_state(_pairs_from_json(obj["amplitudes"]))
     if num_qubits(v) != n:
         raise DimensionMismatchError(
             f"{v.size} amplitudes for an {n}-qubit state"

@@ -97,15 +97,15 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     P^+P + Q^+Q = I and P^+Q + Q^+P = 0; for n <= 8 it is also
     cross-validated against the dense product of the Jones generators.
     """
-    if params is None:
-        params = tl_params(np.pi / 8)
-    if spec is None:
-        spec = default_involution_spec(shape)
     n = shape.n
     if n > STRUCTURED_CAP_QUBITS:
         raise CapacityError(
             f"n={n} exceeds the structured cap {STRUCTURED_CAP_QUBITS}"
         )
+    if params is None:
+        params = tl_params(np.pi / 8)
+    if spec is None:
+        spec = default_involution_spec(shape)
     b1, b2 = jones_pairs(shape, params, spec).generators
     op = b1 @ b2
     op.require_unitary()

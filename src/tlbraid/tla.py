@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gates
 from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import DENSE_CAP_DIM, dagger, kron_all, max_abs
+from .linalg import DENSE_CAP_DIM, DENSE_CAP_QUBITS, dagger, kron_all, max_abs
 from .reports import RelationReport
 
 _INVOLUTION_TOL = 1e-14
@@ -165,7 +165,7 @@ def local_blocks(p: TLParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_capacity(n: int) -> None:
-    if 1 << n > DENSE_CAP_DIM:
+    if n > DENSE_CAP_QUBITS:    # exponents: 1 << n is itself huge for huge n
         raise CapacityError(
             f"dense 2^{n} x 2^{n} matrix exceeds cap {DENSE_CAP_DIM}; "
             "use the structured path in tlbraid.states"

@@ -17,7 +17,8 @@ import numpy as np
 from .braidrep import (bell_matrix, bell_representation, check_yang_baxter,
                        generator_power_identity, jones_representation)
 from .gates import verify_cnot_decomposition, verify_psi_ghz_relation
-from .linalg import dagger, kron_all, max_abs
+from .errors import DomainError
+from .linalg import DENSE_CAP_QUBITS, dagger, kron_all, max_abs
 from .reports import RelationReport, ReportAccumulator
 from .tla import (RepShape, TLParams, check_tl_relations,
                   default_involution_spec, involution_matrix, tl_params)
@@ -41,11 +42,15 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
 
     The theta-independent kron work (E1 and the involution-dressed e3
     chain) is hoisted out of the theta loop; the tests check every point
-    against `tl_projectors`.
+    against `tl_projectors`.  Qubit counts outside 1..12 are refused before
+    anything is built.
     """
     thetas = GRID_THETAS if thetas is None else tuple(thetas)
     phis = GRID_PHIS if phis is None else tuple(phis)
     ns = GRID_NS if ns is None else tuple(ns)
+    if not all(1 <= n <= DENSE_CAP_QUBITS for n in ns):
+        raise DomainError(
+            f"grid qubit counts must lie in 1..{DENSE_CAP_QUBITS}, got {ns}")
     involutions = GRID_INVOLUTIONS if involutions is None else tuple(involutions)
     inv_table = {name: involution_matrix(name) for name in involutions}
     params_cache = {
@@ -74,6 +79,12 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
                         yield p, shape, names, E1, E2
 
 
+def _grid_report(acc: ReportAccumulator) -> RelationReport:
+    if not acc.points:
+        raise DomainError("the grid selection is empty")
+    return acc.report(note=f"{acc.points} grid points")
+
+
 def _point_label(theta, phi, shape, names) -> str:
     s = ",".join(names) if names else "-"
     return f"theta={theta:.6g} phi={phi:.6g} n={shape.n} k={shape.k} s={s}"
@@ -87,7 +98,7 @@ def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
         for check in check_tl_relations(E1, E2, p, tol).checks:
             acc.add(check.name, check.residual, point)
         acc.add_point()
-    return acc.report(note=f"{acc.points} grid points")
+    return _grid_report(acc)
 
 
 def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
@@ -105,7 +116,7 @@ def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
         acc.add("inverse_b1", max_abs(b1 @ (h1 / A + A * eye) - eye), point)
         acc.add("inverse_b2", max_abs(b2 @ (h2 / A + A * eye) - eye), point)
         acc.add_point()
-    return acc.report(note=f"{acc.points} grid points")
+    return _grid_report(acc)
 
 
 def run_ybe_suite(tol: float = 1e-14) -> RelationReport:
@@ -131,12 +142,15 @@ def run_powers_suite(theta: float = np.pi / 8, phi: float = 0.0,
     )
 
 
-def run_cnot_suite(theta: float = np.pi / 8) -> RelationReport:
-    """Gate-level identities: CNOT decomposition and psi = H^3 |GHZ3>."""
-    dec = verify_cnot_decomposition(tl_params(theta), tol=1e-12)
-    psi = verify_psi_ghz_relation(tol=1e-13)
-    return RelationReport(checks=dec.checks + psi.checks, tol=1e-12,
-                          note="psi-ghz relation checked at 1e-13")
+def run_cnot_suite(theta: float = np.pi / 8,
+                   tol: Optional[float] = None) -> RelationReport:
+    """Gate-level identities: CNOT decomposition and psi = H^3 |GHZ3>,
+    both at tol when given, else at 1e-12 and 1e-13."""
+    dec_tol, psi_tol = (1e-12, 1e-13) if tol is None else (tol, tol)
+    dec = verify_cnot_decomposition(tl_params(theta), tol=dec_tol)
+    psi = verify_psi_ghz_relation(tol=psi_tol)
+    return RelationReport(checks=dec.checks + psi.checks, tol=dec_tol,
+                          note=f"psi-ghz relation checked at {psi_tol:g}")
 
 
 SUITES = ("tla", "braid", "ybe", "powers", "cnot")
@@ -162,7 +176,7 @@ def run_suite(name: str, tol: Optional[float] = None,
                                           tol=default)
         elif suite == "cnot":
             thetas = grid_kwargs.get("thetas") or (np.pi / 8,)
-            out[suite] = run_cnot_suite(theta=thetas[0])
+            out[suite] = run_cnot_suite(theta=thetas[0], tol=tol)
         else:
             raise ValueError(f"unknown suite {name!r}; choose from "
                              f"{', '.join(SUITES)} or all")

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from tlbraid import (RepShape, bell_representation, evaluate,
                      jones_representation, max_abs, parse, state_to_json,
                      tl_params)
+from tlbraid import cli
 from tlbraid.cli import main, parse_angle
 from tlbraid.states import basis_state
 from tlbraid.tla import involution_spec
@@ -285,6 +287,24 @@ class TestEntropy:
         assert abs(obj["entanglement"][0]["entropy_bits"] - 1.0) < 1e-9
 
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--state", "@{c7}", "--measure", "2", "--outcome", "1"],
+        ["generate", "basis-superpose", "--state", "010110", "--k", "3",
+         "--s", "I,H,Y,X,Z", "--inverse"],
+    ])
+    def test_rank_one_cuts_read_zero_entropy(self, capsys, tmp_path, argv):
+        c7 = tmp_path / "c7.json"
+        run_cli(capsys, "generate", "cluster", "--n", "7", "--k", "4",
+                "--format", "json", "--out", str(c7))
+        code, obj, _ = run_json(capsys, *[a.format(c7=c7) for a in argv])
+        assert code == 0
+        reports = obj["entanglement"]
+        assert any(r["schmidt_rank"] == 1 for r in reports)
+        for r in reports:
+            assert r["entropy_bits"] >= 0
+            if r["schmidt_rank"] == 1:
+                assert r["entropy_bits"] == 0.0
+
     def test_reads_back_generate_output(self, capsys, tmp_path):
         gen = tmp_path / "ghz.json"
         code, _, _ = run_cli(capsys, "generate", "ghz", "--n", "3",
@@ -302,6 +322,8 @@ class TestEntropy:
         {"n_qubits": 1, "amplitudes": [1, 0]},
         {"state": {"n_qubits": "one", "amplitudes": [[1, 0], [0, 0]]}},
         [[1, 0], [0, 0]],
+        {"n_qubits": 1, "amplitudes": [[10 ** 400, 0], [0, 0]]},
+        {"n_qubits": 1, "amplitudes": [["1", 0], [0, 0]]},
     ])
     def test_malformed_state_file_exit_2(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -309,6 +331,50 @@ class TestEntropy:
         code, _, err = run_cli(capsys, "entropy", "--state", f"@{path}")
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
+
+
+class TestSizes:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "tla", "--n", "-1"],
+        ["verify", "tla", "--n", "0"],
+        ["verify", "tla", "--n", "3", "--k", "7"],
+        ["verify", "tla", "--k", "9"],
+        ["verify", "tla", "--n", "30", "--s", "x"],
+        ["verify", "tla", "--n", "13", "--s", "x"],
+        ["generate", "ghz", "--n", "100000000000000000000"],
+    ])
+    def test_refused_with_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"] in ("DomainError", "CapacityError")
+
+    def test_oversized_grid_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "verify", "tla", "--n", "13", "--s", "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 10 * 2**20
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "cluster", "--n", "4", "--k", "3"],
+        ["apply", "b1 b2", "--rep", "bell", "--state", "000"],
+        ["entropy", "--state", "0101", "--measure", "2", "--outcome", "1"],
+    ])
+    @pytest.mark.parametrize("fmt, unused", [("json", "_state_text"),
+                                             ("text", "state_to_json")])
+    def test_renders_only_the_requested_format(self, capsys, monkeypatch,
+                                               argv, fmt, unused):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{unused} called in a {fmt} run")
+
+        monkeypatch.setattr(cli, unused, refuse)
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
 
 
 class TestConfigAndOutput:

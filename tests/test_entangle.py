@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tlbraid import entangle
 from tlbraid import (DimensionMismatchError, DomainError, basis_state,
                      bell_representation, density_matrix, entanglement_report,
                      ghz_state, kron_all, lu_equivalent, max_abs, measure_qubit,
@@ -210,6 +211,19 @@ class TestSchmidtRank:
             for subset in ([1], [2, 3], [1, 4]):
                 assert schmidt_rank(v, subset) == \
                     self.svd_rank_oracle(v, subset, 4)
+
+    def test_report_takes_one_decomposition(self, rng, monkeypatch):
+        v = random_state(rng, 5)
+        expected = vn_entropy(reduced_density(v, [2, 4]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("entanglement_report builds a Gram matrix")
+
+        monkeypatch.setattr(entangle, "reduced_density", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = entanglement_report(v, [2, 4])
+        assert abs(report.entropy_bits - expected) < 1e-12
+        assert report.schmidt_rank == 4
 
     def test_rank_one_iff_zero_entropy(self, rng):
         states = [random_state(rng, 3) for _ in range(3)]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tlbraid import (CapacityError, DimensionMismatchError, apply, dagger,
+from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
+                     apply, dagger,
                      is_normalized, is_unitary, kron, kron_all, matmul,
                      matrix_from_json, matrix_to_json, max_abs, norm,
                      phase_equivalent, state_from_json, state_to_json)
@@ -199,6 +200,11 @@ def test_matrix_json_roundtrip(rng):
     assert len(obj["entries"]) == 6
     back = matrix_from_json(json.loads(json.dumps(obj)))
     assert np.array_equal(back, m)
+
+
+def test_matrix_json_refuses_string_entries():
+    with pytest.raises(DomainError):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [["1", 0], [0, 0]]})
 
 
 def test_state_json_roundtrip(rng):

@@ -72,6 +72,11 @@ def test_cnot_suite():
     assert report.passed
 
 
+def test_cnot_suite_checks_at_its_tol():
+    report = run_cnot_suite(tol=1e-20)
+    assert not report.passed and report.tol == 1e-20
+
+
 def test_run_suite_dispatch():
     out = run_suite("ybe")
     assert set(out) == {"ybe"}
@@ -100,8 +105,7 @@ def test_hoisted_assembly_matches_tl_projectors():
 
 def test_run_suite_keeps_a_zero_tol():
     for name, report in run_suite("all", tol=0.0, ns=(1,)).items():
-        if name != "cnot":
-            assert report.tol == 0.0
+        assert report.tol == 0.0
 
 
 def test_powers_suite_checks_at_its_tol():
