@@ -19,11 +19,10 @@ from .entangle import (EntanglementReport, density_matrix, entanglement_report,
 from .errors import (BraidSyntaxError, CapacityError, DimensionMismatchError,
                      DomainError, TLBraidError, UnknownGateError)
 from .gates import gate, verify_cnot_decomposition, verify_psi_ghz_relation
-from .linalg import (DENSE_CAP_DIM, apply, apply_single_qubit, dagger,
-                     is_hermitian, is_normalized, is_unitary, kron, kron_all,
-                     matmul, matrix_from_json, matrix_to_json, max_abs, norm,
-                     num_qubits, phase_equivalent, state_from_json,
-                     state_to_json)
+from .linalg import (DENSE_CAP_DIM, apply_single_qubit, dagger, is_unitary,
+                     kron, kron_all, matrix_from_json, matrix_to_json,
+                     max_abs, norm, num_qubits, phase_equivalent,
+                     state_from_json, state_to_json)
 from .reports import RelationCheck, RelationReport
 from .states import (STRUCTURED_CAP_QUBITS, StructuredBraidOp, apply_structured,
                      basis_state, bits_to_index, cluster_family,

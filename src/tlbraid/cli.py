@@ -3,7 +3,8 @@
 Angles accept plain floats or simple pi expressions ("pi/8", "-pi/6",
 "3*pi/4").  States are given as bit strings ("0101") or "@file" references
 to the JSON interchange format or to a subcommand's JSON output.  Flags
-override values from --config FILE (a JSON object with the same key names).
+override values from --config FILE (a JSON object with the same key names);
+a key the command does not read (see READS) is refused.
 Exit codes: 0 all checks passed, 1 a verification check failed, 2
 usage/config/domain error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import math
 import operator
@@ -26,7 +28,7 @@ from . import verify as verify_mod
 from .braidrep import bell_representation, jones_representation
 from .entangle import entanglement_report, measure_qubit
 from .errors import DomainError, TLBraidError
-from .linalg import num_qubits, state_from_json, state_to_json
+from .linalg import num_qubits, require_finite, state_from_json
 from .states import (apply_structured, basis_state, cluster_like_state,
                      ghz_state, parse_bits, structured_braid_op)
 from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
@@ -132,11 +134,43 @@ def _fits(hint, value) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+#: The RunConfig keys each command reads besides format and out, by verify
+#: suite, generate kind and apply representation; `verify all` reads the
+#: union of its suites' keys.  Any other key set by a flag or the config
+#: file is refused.
+_GRID = {"theta", "phi", "n", "k", "s", "tol"}
+_PARAMS = {"theta", "phi", "a_sign", "b_sign"}
+READS = {
+    "tla": _GRID, "braid": _GRID, "ybe": {"tol"},
+    "powers": {"theta", "phi", "tol"}, "cnot": {"theta", "tol"},
+    "ghz": _PARAMS | {"n", "tol"},
+    "cluster": _PARAMS | {"n", "k", "tol"},
+    "basis-superpose": _PARAMS | {"n", "k", "s", "tol"},
+    "jones": _PARAMS | {"n", "k", "s"}, "bell": {"n"},
+    "entropy": {"tol"},
+}
+
+
+def _reads(args: argparse.Namespace) -> tuple[str, set[str]]:
+    """The command's name and the RunConfig keys it reads."""
+    if args.command == "verify":
+        name = f"verify {args.suite}"
+        parts = verify_mod.SUITES if args.suite == "all" else (args.suite,)
+    elif args.command == "generate":
+        name, parts = f"generate {args.kind}", (args.kind,)
+    elif args.command == "apply":
+        name, parts = f"apply --rep {args.rep}", (args.rep,)
+    else:
+        name, parts = args.command, (args.command,)
+    return name, {"format", "out"}.union(*(READS[p] for p in parts))
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    hints = get_type_hints(RunConfig)
+    given = set()       # keys set to a value by the config file or a flag
     if getattr(args, "config", None):
         file_values = _load_config(args.config)
-        hints = get_type_hints(RunConfig)
         unknown = set(file_values) - set(hints)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
@@ -149,11 +183,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise DomainError(
                     f"config key {key!r} needs {hints[key]}, got {value!r:.80}")
             setattr(cfg, key, value)
-    for key in ("theta", "phi", "n", "k", "s", "a_sign", "b_sign",
-                "tol", "format", "out"):
+            if value is not None:
+                given.add(key)
+    for key in hints:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+            given.add(key)
+    name, reads = _reads(args)
+    if given - reads:
+        raise DomainError(f"{name} does not read {sorted(given - reads)}")
     cfg.params()    # reject out-of-domain theta at load time
     if cfg.tol is not None and not 0 <= cfg.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {cfg.tol}")
@@ -196,29 +235,61 @@ def _entanglement_text(reports) -> str:
     return "\n".join(lines)
 
 
+#: Amplitude pairs formatted per write, so only one chunk's text is held.
+_CHUNK_PAIRS = 1 << 16
+#: Stands in for the amplitude list while json.dumps lays out the rest.
+_AMPLITUDES = "\0amplitudes\0"
+#: json.dumps(indent=2) separators of [re, im] pairs two levels deep, where
+#: payload["state"]["amplitudes"] sits.
+_IN_PAIR = ",\n        "
+_BETWEEN_PAIRS = "\n      ],\n      [\n        "
+
+
+def _write_json(fh, payload: dict, v: Optional[np.ndarray]) -> None:
+    """Write json.dumps(payload, indent=2) and a newline to fh, byte for
+    byte, streaming the amplitudes of v in place of the _AMPLITUDES marker.
+
+    Floats are formatted by float.__repr__, as json's encoder does.
+    """
+    text = json.dumps(payload, indent=2) + "\n"
+    if v is None:
+        fh.write(text)
+        return
+    require_finite(v)       # json would write NaN, which no reader accepts
+    head, _, tail = text.partition(json.dumps(_AMPLITUDES))
+    flat = np.ascontiguousarray(v, np.complex128).view(np.float64)
+    fh.write(head + "[\n      [\n        ")
+    for start in range(0, flat.size, 2 * _CHUNK_PAIRS):
+        if start:
+            fh.write(_BETWEEN_PAIRS)
+        reprs = map(float.__repr__,
+                    flat[start:start + 2 * _CHUNK_PAIRS].tolist())
+        fh.write(_BETWEEN_PAIRS.join(map(_IN_PAIR.join, zip(reprs, reprs))))
+    fh.write("\n      ]\n    ]" + tail)
+
+
 def _emit(cfg: RunConfig, fields: dict, header: list[str],
           v: Optional[np.ndarray] = None, reports=None) -> None:
-    """Render one result in cfg.format only: the JSON fields, or the text
-    header lines, followed by the state and the cut reports when given."""
-    if cfg.format == "json":
-        payload = dict(fields)
-        if v is not None:
-            payload["state"] = state_to_json(v)
-        if reports is not None:
-            payload["entanglement"] = [r.to_json() for r in reports]
-        body = json.dumps(payload, indent=2)
-    else:
-        parts = list(header)
-        if v is not None:
-            parts.append(_state_text(v))
-        if reports is not None:
-            parts.append(_entanglement_text(reports))
-        body = "\n".join(parts)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(body + "\n")
-    else:
-        print(body)
+    """Render one result in cfg.format only, to cfg.out or stdout: the JSON
+    fields, or the text header lines, followed by the state and the cut
+    reports when given."""
+    with (open(cfg.out, "w") if cfg.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if cfg.format == "json":
+            payload = dict(fields)
+            if v is not None:
+                payload["state"] = {"n_qubits": num_qubits(v),
+                                    "amplitudes": _AMPLITUDES}
+            if reports is not None:
+                payload["entanglement"] = [r.to_json() for r in reports]
+            _write_json(fh, payload, v)
+        else:
+            parts = list(header)
+            if v is not None:
+                parts.append(_state_text(v))
+            if reports is not None:
+                parts.append(_entanglement_text(reports))
+            fh.write("\n".join(parts) + "\n")
 
 
 def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
@@ -289,6 +360,9 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
             raise DomainError("generate basis-superpose needs --state BITS")
         bits = parse_bits(state)
         n = len(bits)
+        if cfg.n is not None and cfg.n != n:
+            raise DomainError(
+                f"--n {cfg.n} disagrees with the {n} bits of --state")
         k = cfg.k if cfg.k is not None else 1
         shape = RepShape(n=n, k=k)
         op = structured_braid_op(shape, params=params, spec=cfg.spec_for(shape))

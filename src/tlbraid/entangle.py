@@ -91,10 +91,13 @@ def vn_entropy(rho: np.ndarray) -> float:
 
 
 def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.ndarray]:
-    """Born-rule probability and renormalized post-state on n-1 qubits."""
+    """Born-rule probability and renormalized post-state on n-1 qubits;
+    the only qubit of a 1-qubit state is refused."""
     n = num_qubits(v)
     if not 1 <= qubit <= n:
         raise DomainError(f"qubit {qubit} out of range 1..{n}")
+    if n == 1:
+        raise DomainError("measuring the only qubit leaves no state")
     if outcome not in (0, 1):
         raise DomainError(f"outcome must be 0 or 1, got {outcome}")
     picked = v.reshape(1 << (qubit - 1), 2, 1 << (n - qubit))[:, outcome, :].reshape(-1)

@@ -88,24 +88,6 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"matmul shapes {a.shape} and {b.shape} do not chain"
-        )
-    return a @ b
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v for a 2**n x 2**n matrix on an n-qubit state."""
-    n = num_qubits(v)
-    if m.shape != (1 << n, 1 << n):
-        raise DimensionMismatchError(
-            f"operator shape {m.shape} does not act on {n} qubits"
-        )
-    return m @ v
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
@@ -123,10 +105,6 @@ def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def is_normalized(v: np.ndarray, tol: float = EXACT_TOL) -> bool:
-    return abs(np.vdot(v, v).real - 1.0) <= tol
-
-
 def max_abs(m: np.ndarray) -> float:
     """Max-norm residual helper: largest entry magnitude."""
     return float(np.max(np.abs(m))) if m.size else 0.0
@@ -136,12 +114,6 @@ def is_unitary(m: np.ndarray, tol: float = EXACT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"unitarity check needs a square matrix, got {m.shape}")
     return max_abs(dagger(m) @ m - np.eye(m.shape[0])) <= tol
-
-
-def is_hermitian(m: np.ndarray, tol: float = EXACT_TOL) -> bool:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"hermiticity check needs a square matrix, got {m.shape}")
-    return max_abs(m - dagger(m)) <= tol
 
 
 def _column_phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:

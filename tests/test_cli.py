@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tlbraid import (RepShape, bell_representation, evaluate,
@@ -16,6 +16,7 @@ from tlbraid import (RepShape, bell_representation, evaluate,
                      tl_params)
 from tlbraid import cli
 from tlbraid.cli import main, parse_angle
+from tlbraid.errors import DomainError
 from tlbraid.states import basis_state
 from tlbraid.tla import involution_spec
 
@@ -366,7 +367,7 @@ class TestSinglePath:
         ["entropy", "--state", "0101", "--measure", "2", "--outcome", "1"],
     ])
     @pytest.mark.parametrize("fmt, unused", [("json", "_state_text"),
-                                             ("text", "state_to_json")])
+                                             ("text", "_write_json")])
     def test_renders_only_the_requested_format(self, capsys, monkeypatch,
                                                argv, fmt, unused):
         def refuse(*args, **kwargs):
@@ -375,6 +376,126 @@ class TestSinglePath:
         monkeypatch.setattr(cli, unused, refuse)
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0 and out
+
+
+class TestJsonWriter:
+    """The CLI streams a state's amplitudes, and its bytes still equal
+    json.dumps(payload, indent=2) + "\\n"."""
+
+    @staticmethod
+    def check(capsys, v, reports=None):
+        fields = {"kind": "k", "measurement": {"qubit": 1, "probability": 0.5}}
+        cli._emit(cli.RunConfig(format="json"), fields, [], v, reports)
+        want = dict(fields, state=state_to_json(v))
+        if reports is not None:
+            want["entanglement"] = [r.to_json() for r in reports]
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+    def test_edge_floats(self, capsys):
+        floats = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1 + 0.2, -5e-324,
+                  -1e22, 1 / 3, 0.0, -1.0, 2.0 ** -1074 * 3, 1e-5, 123456789.0,
+                  1e15 + 0.3, -1e-7]
+        self.check(capsys, np.array(floats).view(np.complex128))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_random_dense_states(self, capsys, rng, n):
+        v = random_state(rng, n)
+        self.check(capsys, v, cli._cut_reports(v, 2, 1e-9))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 16, 17])
+    def test_chunk_boundaries(self, capsys, monkeypatch, rng, chunk):
+        monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
+        self.check(capsys, random_state(rng, 4))
+
+    def test_no_state(self, capsys):
+        cli._emit(cli.RunConfig(format="json"), {"pass": True}, [])
+        assert capsys.readouterr().out == '{\n  "pass": true\n}\n'
+
+    def test_non_finite_amplitude_is_refused(self, capsys):
+        v = np.array([np.nan, 1.0], dtype=complex)
+        with pytest.raises(DomainError):
+            cli._emit(cli.RunConfig(format="json"), {}, [], v)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "ghz", "--n", "5", "--inverse"],
+        ["generate", "cluster", "--n", "5", "--k", "3"],
+        ["generate", "basis-superpose", "--state", "01101", "--k", "3",
+         "--s", "h,y,x,z"],
+        ["apply", "b1 b2^-1", "--rep", "jones", "--state", "0110", "--k", "2"],
+        ["apply", "b1 b3", "--rep", "bell", "--state", "0110"],
+        ["entropy", "--state", "@{c5}", "--measure", "2", "--outcome", "1"],
+        ["entropy", "--state", "@{c5}", "--cut", "1,4"],
+        ["verify", "ybe"],
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_commands_are_fixed_points(self, capsys, tmp_path, argv, to_file):
+        c5 = tmp_path / "c5.json"
+        run_cli(capsys, "generate", "cluster", "--n", "5", "--k", "3",
+                "--format", "json", "--out", str(c5))
+        argv = [a.format(c5=c5) for a in argv] + ["--format", "json"]
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, *argv,
+                               *(["--out", str(target)] if to_file else []))
+        assert code == 0
+        if to_file:
+            assert out == ""
+            out = target.read_text()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_emit_memory_is_flat(self, tmp_path, rng):
+        # json.dumps(indent=2) of the whole payload peaks at 116 MiB here
+        v = random_state(rng, 18)
+        cfg = cli.RunConfig(format="json", out=str(tmp_path / "v.json"))
+        tracemalloc.start()
+        try:
+            cli._emit(cfg, {"kind": "k"}, [], v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("argv, config", [
+        (["verify", "powers", "--n", "30"], None),
+        (["verify", "ybe", "--k", "40", "--s", "q"], None),
+        (["verify", "cnot", "--phi", "pi/3"], None),
+        (["verify", "tla", "--n", "2", "--a-sign", "-1"], None),
+        (["generate", "ghz", "--n", "3", "--k", "3", "--s", "h,h"], None),
+        (["generate", "ghz", "--n", "3"], {"k": 3}),
+        (["generate", "cluster", "--n", "4", "--k", "3", "--s", "x,x,x"], None),
+        (["apply", "b1", "--rep", "bell", "--state", "00", "--k", "1"], None),
+        (["apply", "b1", "--state", "00", "--tol", "1e-9"], None),
+        (["entropy", "--state", "01", "--n", "2"], None),
+        (["entropy", "--state", "01"], {"theta": "pi/8"}),
+        (["generate", "basis-superpose", "--state", "010", "--n", "4"], None),
+    ])
+    def test_unread_keys_exit_2(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_verify_all_reads_every_suites_keys(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "all", "--n", "2", "--k", "1",
+                                "--s", "x", "--theta", "pi/8", "--phi", "pi/3",
+                                "--tol", "1e-9")
+        assert code == 0
+        assert set(obj["reports"]) == {"tla", "braid", "ybe", "powers", "cnot"}
+
+    def test_every_key_is_read_somewhere(self):
+        assert set().union(*cli.READS.values()) | {"format", "out"} \
+            == set(cli.RunConfig.__dataclass_fields__)
+
+    def test_measuring_the_only_qubit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "entropy", "--state", "0",
+                                 "--measure", "1")
+        assert code == 2 and out == ""
+        assert "only qubit" in json.loads(err)["message"]
 
 
 class TestConfigAndOutput:
@@ -514,9 +635,25 @@ _JSON = st.recursive(
     max_leaves=8)
 
 
+def _must_refuse(argv) -> bool:
+    """Flags the command does not read, or a measurement of the only qubit
+    (or of no qubit): exit 2 whatever else is drawn."""
+    flags = dict(a.split("=", 1) for a in argv if a.startswith("--") and "=" in a)
+    if argv[:2] == ["verify", "powers"] and "--n" in flags:
+        return True
+    if argv[:2] in (["verify", "ybe"], ["generate", "ghz"]):
+        return bool({"--k", "--s"} & set(flags))
+    return (argv[0] == "entropy" and "--measure" in flags
+            and len(flags["--state"].strip()) <= 1)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_ARGV, config=st.none() | _JSON.map(lambda v: [v]))
+@example(argv=["verify", "powers", "--n=30"], config=None)
+@example(argv=["verify", "ybe", "--k=40", "--s=q"], config=None)
+@example(argv=["generate", "ghz", "--n=3", "--k=3", "--s=h,h"], config=None)
+@example(argv=["entropy", "--state=0", "--measure=1"], config=None)
 def test_fuzz_cli_exits_cleanly(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
@@ -527,6 +664,7 @@ def test_fuzz_cli_exits_cleanly(argv, config):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
+    assert code == 2 or not _must_refuse(argv)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1

@@ -181,9 +181,9 @@ class TestMeasurement:
             measure_qubit(basis_state("00"), 1, 1)
 
     def test_single_qubit_measurement(self):
-        prob, post = measure_qubit(np.array([S2, S2], dtype=complex), 1, 1)
-        assert abs(prob - 0.5) < 1e-12
-        assert post.shape == (1,)
+        # measuring the only qubit would leave a 0-qubit "state"
+        with pytest.raises(DomainError, match="only qubit"):
+            measure_qubit(np.array([S2, S2], dtype=complex), 1, 1)
 
 
 class TestSchmidtRank:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
-                     apply, dagger,
-                     is_normalized, is_unitary, kron, kron_all, matmul,
+                     dagger, is_unitary, kron, kron_all,
                      matrix_from_json, matrix_to_json, max_abs, norm,
                      phase_equivalent, state_from_json, state_to_json)
 from tlbraid.braidrep import bell_matrix
@@ -79,29 +78,9 @@ def test_kron_capacity_cap():
         kron(kron(big, big), np.eye(4))
 
 
-def test_matmul():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(matmul(np.eye(2), m), m)
-    assert np.array_equal(matmul(PAULI_X, PAULI_X), np.eye(2))
-    with pytest.raises(DimensionMismatchError):
-        matmul(np.eye(2), np.eye(3))
-
-
 def test_bell_matrix_inverse_is_adjoint():
     r = bell_matrix()
-    assert max_abs(matmul(r, dagger(r)) - np.eye(4)) < 1e-15
-
-
-def test_apply():
-    v = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.array_equal(apply(np.eye(4), v), v)
-    out = apply(bell_matrix(), v)
-    expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    assert max_abs(out - expected) < 1e-15
-    with pytest.raises(DimensionMismatchError):
-        apply(np.eye(8), v)
-    with pytest.raises(DimensionMismatchError):
-        apply(np.eye(4), np.ones(3, dtype=complex))
+    assert max_abs(r @ dagger(r) - np.eye(4)) < 1e-15
 
 
 def test_is_unitary():
@@ -177,11 +156,6 @@ def test_phase_equivalent_b11_vs_hadamard():
 def test_phase_equivalent_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         phase_equivalent(np.eye(2), np.eye(4))
-
-
-def test_normalized_flag():
-    assert is_normalized(np.array([1, 0], dtype=complex))
-    assert not is_normalized(np.array([1, 1], dtype=complex))
 
 
 def test_constructors_reject_nonfinite():
