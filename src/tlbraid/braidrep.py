@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import dagger, kron_all, matrix_to_json, max_abs
-from .reports import RelationReport
+from .reports import RelationReport, report_or_residuals
 from .tla import (InvolutionSpec, JonesPairs, RepShape, TLParams,
                   _check_capacity, jones_pairs)
 
@@ -102,9 +102,13 @@ def bell_representation(m: int) -> BraidRepresentation:
     return BraidRepresentation("bell", m)
 
 
-def check_braid_relations(gens: Sequence[np.ndarray],
-                          tol: float = 1e-10) -> RelationReport:
-    """Residuals of all far-commutation and adjacent braid relations."""
+def check_braid_relations(gens: Sequence[np.ndarray], tol: float = 1e-10):
+    """Residuals of all far-commutation and adjacent braid relations.
+
+    Matrices give a RelationReport.  Stacks (..., dim, dim) that broadcast
+    against each other give the (name, residual array) pairs of
+    `reports.report_or_residuals`, one residual per stacked point.
+    """
     named = []
     for i in range(len(gens) - 1):
         bi, bj = gens[i], gens[i + 1]
@@ -121,9 +125,10 @@ def check_braid_relations(gens: Sequence[np.ndarray],
     for i, g in enumerate(gens, start=1):
         named.append((
             f"unitary_b{i}",
-            max_abs(dagger(g) @ g - np.eye(g.shape[0])),
+            max_abs(dagger(g) @ g - np.eye(g.shape[-1])),
         ))
-    return RelationReport.from_residuals(named, tol)
+    batch = np.broadcast_shapes(*(g.shape[:-2] for g in gens))
+    return report_or_residuals(named, tol, batch)
 
 
 def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:

@@ -142,7 +142,7 @@ _GRID = {"theta", "phi", "n", "k", "s", "tol"}
 _PARAMS = {"theta", "phi", "a_sign", "b_sign"}
 READS = {
     "tla": _GRID, "braid": _GRID, "ybe": {"tol"},
-    "powers": {"theta", "phi", "tol"}, "cnot": {"theta", "tol"},
+    "powers": {"theta", "phi", "tol"}, "cnot": {"tol"},
     "ghz": _PARAMS | {"n", "tol"},
     "cluster": _PARAMS | {"n", "k", "tol"},
     "basis-superpose": _PARAMS | {"n", "k", "s", "tol"},

@@ -89,7 +89,8 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose; of each matrix, for a stack (..., rows, cols)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
@@ -105,8 +106,13 @@ def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Max-norm residual helper: largest entry magnitude."""
+def max_abs(m: np.ndarray):
+    """Max-norm residual helper: largest entry magnitude.
+
+    A stack of matrices (..., rows, cols) gives an array of one per matrix.
+    """
+    if m.ndim > 2:
+        return np.abs(m).max(axis=(-2, -1), initial=0.0)
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 

@@ -9,6 +9,9 @@ many were folded in and where the worst residual occurred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,23 +74,46 @@ class RelationReport:
         return cls(checks=checks, tol=tol, note=note)
 
 
+def report_or_residuals(named: list[tuple[str, object]], tol: float,
+                        batch: tuple[int, ...],
+                        ) -> RelationReport | list[tuple[str, np.ndarray]]:
+    """A RelationReport for one point (empty `batch`); for a stack of points,
+    the (name, residuals of shape `batch`) pairs a ReportAccumulator folds."""
+    if not batch:
+        return RelationReport.from_residuals(named, tol)
+    return [(name, np.broadcast_to(r, batch)) for name, r in named]
+
+
 class ReportAccumulator:
-    """Folds per-point relation residuals into a grid-level RelationReport."""
+    """Folds arrays of per-point relation residuals into a grid-level
+    RelationReport."""
 
     def __init__(self, tol: float):
         self.tol = tol
-        self._worst: dict[str, tuple[float, str]] = {}
+        self._worst: dict[str, tuple[float, int, str]] = {}
         self._counts: dict[str, int] = {}
         self.points = 0
 
-    def add(self, name: str, residual: float, where: str) -> None:
-        residual = float(residual)
-        self._counts[name] = self._counts.get(name, 0) + 1
-        if name not in self._worst or residual > self._worst[name][0]:
-            self._worst[name] = (residual, where)
+    def add(self, name: str, residuals, label: Callable[[int], str],
+            positions: Sequence[int]) -> None:
+        """Fold one residual per point; a scalar stands for every point.
 
-    def add_point(self) -> None:
-        self.points += 1
+        `positions` holds the points' ascending places in the sweep order.
+        The largest residual wins and ties go to the earliest place, so the
+        fold does not depend on how the sweep is cut into arrays.  label(i)
+        names the i-th point; it is called only for a new worst point.
+        """
+        r = np.broadcast_to(residuals, (len(positions),))
+        self._counts[name] = self._counts.get(name, 0) + len(positions)
+        i = int(np.argmax(r))
+        residual, at = float(r[i]), positions[i]
+        worst = self._worst.get(name)
+        if worst is None or residual > worst[0] or \
+                (residual == worst[0] and at < worst[1]):
+            self._worst[name] = (residual, at, label(i))
+
+    def add_point(self, count: int) -> None:
+        self.points += count
 
     def report(self, note: str = "") -> RelationReport:
         checks = tuple(
@@ -98,6 +124,6 @@ class ReportAccumulator:
                 instances=self._counts[name],
                 worst_at=where,
             )
-            for name, (residual, where) in sorted(self._worst.items())
+            for name, (residual, _, where) in sorted(self._worst.items())
         )
         return RelationReport(checks=checks, tol=self.tol, note=note)

@@ -20,7 +20,7 @@ import numpy as np
 from . import gates
 from .errors import CapacityError, DimensionMismatchError, DomainError
 from .linalg import DENSE_CAP_DIM, DENSE_CAP_QUBITS, dagger, kron_all, max_abs
-from .reports import RelationReport
+from .reports import report_or_residuals
 
 _INVOLUTION_TOL = 1e-14
 
@@ -293,14 +293,22 @@ def tl_projectors(shape: RepShape, p: TLParams,
 
 
 def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams,
-                       tol: float = 1e-10) -> RelationReport:
+                       tol: float = 1e-10):
     """Residuals of the projector and Temperley-Lieb relations.
 
     Covers E_i^2 = E_i, E1 E2 E1 = a^2 E1, E2 E1 E2 = a^2 E2, and for
     h_i = d E_i: h_i^2 = d h_i, h1 h2 h1 = h1, h2 h1 h2 = h2, plus
-    hermiticity of both h_i.
+    hermiticity of both h_i.  Two matrices give a RelationReport.  Stacks
+    (..., dim, dim) that broadcast against each other give the (name,
+    residual array) pairs of `reports.report_or_residuals`, one residual
+    per stacked point.
     """
-    if E1.shape != E2.shape or E1.ndim != 2 or E1.shape[0] != E1.shape[1]:
+    try:
+        batch = np.broadcast_shapes(E1.shape[:-2], E2.shape[:-2])
+    except ValueError:
+        batch = None
+    if batch is None or E1.ndim < 2 or E1.shape[-2:] != E2.shape[-2:] \
+            or E1.shape[-1] != E1.shape[-2]:
         raise DimensionMismatchError(
             f"projector shapes {E1.shape} and {E2.shape} must be equal square"
         )
@@ -319,4 +327,4 @@ def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams,
         ("h1_hermitian", max_abs(h1 - dagger(h1))),
         ("h2_hermitian", max_abs(h2 - dagger(h2))),
     ]
-    return RelationReport.from_residuals(named, tol)
+    return report_or_residuals(named, tol, batch)

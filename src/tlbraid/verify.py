@@ -3,22 +3,28 @@
 The standard grid is the one the package is validated against:
 theta in {pi/8, -pi/8, pi/6, pi+pi/8, pi-pi/8}, phi in {0, pi/3},
 n in 1..5 with every slot k and every per-slot involution assignment drawn
-from {I, X, Y, Z, H}.  Suites fold per-point residuals into one aggregated
-RelationReport (max residual per relation, worst point recorded).
+from {I, X, Y, Z, H}.  `iter_grid` stacks the E2 matrices of all
+assignments of one (n, k, phi, theta) into (m, dim, dim) arrays of at most
+GRID_CHUNK_BYTES, and each relation is one broadcast matmul and one
+`max_abs` over a stack.  Suites fold the residuals into one RelationReport:
+the max per relation, at its first point in n -> k -> names -> phi -> theta
+order.  A grid with more matrix work (points x dim^3) than the standard
+grid is refused before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .braidrep import (bell_matrix, bell_representation, check_yang_baxter,
-                       generator_power_identity, jones_representation)
+from .braidrep import (bell_matrix, bell_representation, check_braid_relations,
+                       check_yang_baxter, generator_power_identity,
+                       jones_representation)
 from .gates import verify_cnot_decomposition, verify_psi_ghz_relation
 from .errors import DomainError
-from .linalg import DENSE_CAP_QUBITS, dagger, kron_all, max_abs
+from .linalg import DENSE_CAP_QUBITS, dagger, max_abs
 from .reports import RelationReport, ReportAccumulator
 from .tla import (RepShape, TLParams, check_tl_relations,
                   default_involution_spec, involution_matrix, tl_params)
@@ -29,6 +35,49 @@ GRID_THETAS: tuple[float, ...] = (
 GRID_PHIS: tuple[float, ...] = (0.0, np.pi / 3)
 GRID_INVOLUTIONS: tuple[str, ...] = ("i", "x", "y", "z", "h")
 GRID_NS: tuple[int, ...] = (1, 2, 3, 4, 5)
+#: Most bytes in one stack of grid matrices: the 625 at n = 5 come in
+#: chunks of 32, an n <= 4 slice in one.
+GRID_CHUNK_BYTES = 1 << 19
+
+
+def _slots(n: int, ks: Optional[Sequence[int]]) -> Sequence[int]:
+    return range(1, n + 1) if ks is None else [k for k in ks if k <= n]
+
+
+def _grid_work(thetas, phis, ns, ks, involutions) -> int:
+    """Matrix work of a grid: the sum over its points of dim^3 = 8^n."""
+    return len(thetas) * len(phis) * sum(
+        len(_slots(n, ks)) * len(involutions) ** (n - 1) * 8 ** n for n in ns)
+
+
+#: The matrix work of the standard grid, the most `iter_grid` takes on.
+GRID_WORK_LIMIT = _grid_work(GRID_THETAS, GRID_PHIS, GRID_NS, None,
+                             GRID_INVOLUTIONS)
+
+
+class GridSlice(NamedTuple):
+    """Points of one (n, k, phi, theta) slice, stacked over involutions."""
+
+    params: TLParams
+    shape: RepShape
+    names: Sequence[tuple[str, ...]]    # involution names of each point
+    positions: range                    # each point's place in grid order
+    E1: np.ndarray                      # (dim, dim), shared by the stack
+    E2: np.ndarray                      # (len(names), dim, dim)
+
+
+def _chain_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Batched `kron_all`: entry i is the kron of the factors' entries i.
+
+    Each factor has shape (m, 2, 2) or (1, 2, 2), the latter shared by
+    every entry; the products are kron_all's, in its order.
+    """
+    out = np.ones((1, 1, 1), dtype=np.complex128)
+    for f in factors:
+        rows, cols = out.shape[1] * 2, out.shape[2] * 2
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
+            -1, rows, cols)
+    return out
 
 
 def iter_grid(thetas: Optional[Sequence[float]] = None,
@@ -36,14 +85,14 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
               ns: Optional[Sequence[int]] = None,
               ks: Optional[Sequence[int]] = None,
               involutions: Optional[Sequence[str]] = None,
-              ) -> Iterator[tuple[TLParams, RepShape, tuple[str, ...],
-                                  np.ndarray, np.ndarray]]:
-    """Yield (params, shape, involution names, E1, E2) over the product grid.
+              ) -> Iterator[GridSlice]:
+    """Yield the product grid as stacked GridSlices.
 
-    The theta-independent kron work (E1 and the involution-dressed e3
-    chain) is hoisted out of the theta loop; the tests check every point
-    against `tl_projectors`.  Qubit counts outside 1..12 are refused before
-    anything is built.
+    E1 is built once per (n, k), and the involution-dressed e3 chains
+    once per chunk of involution assignments and phi, with a batched kron,
+    for every theta; the tests check every point against `tl_projectors`.  Qubit counts outside 1..12 and grids
+    whose matrix work exceeds GRID_WORK_LIMIT are refused before anything
+    is built.
     """
     thetas = GRID_THETAS if thetas is None else tuple(thetas)
     phis = GRID_PHIS if phis is None else tuple(phis)
@@ -52,31 +101,47 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
         raise DomainError(
             f"grid qubit counts must lie in 1..{DENSE_CAP_QUBITS}, got {ns}")
     involutions = GRID_INVOLUTIONS if involutions is None else tuple(involutions)
-    inv_table = {name: involution_matrix(name) for name in involutions}
-    params_cache = {
-        (theta, phi): tl_params(theta, phi)
-        for theta in thetas for phi in phis
-    }
+    work = _grid_work(thetas, phis, ns, ks, involutions)
+    if work > GRID_WORK_LIMIT:
+        raise DomainError(
+            f"the grid needs {work:.3g} of matrix work (points x dim^3), "
+            f"more than the standard grid's {GRID_WORK_LIMIT:.3g}; narrow it "
+            "with --k, --s, --theta or --phi")
+    inv_stack = np.array([involution_matrix(name) for name in involutions],
+                         dtype=np.complex128).reshape(-1, 2, 2)
+    params = [[tl_params(theta, phi) for theta in thetas] for phi in phis]
+    per_name = len(phis) * len(thetas)
+    first = 0   # grid position of the current (n, k) block's first point
     for n in ns:
         dim = 1 << n
-        k_range = range(1, n + 1) if ks is None else [k for k in ks if k <= n]
-        for k in k_range:
+        chunk = max(1, GRID_CHUNK_BYTES // (16 * dim * dim))
+        for k in _slots(n, ks):
             shape = RepShape(n=n, k=k)
             kth_bit = (np.arange(dim) >> (n - k)) & 1
             E1 = np.diag((1 - kth_bit).astype(np.complex128))
-            for names in itertools.product(involutions, repeat=n - 1):
-                slots = [inv_table[nm] for nm in names]
-                left, right = slots[:k - 1], slots[k - 1:]
-                for phi in phis:
+            assignments = itertools.product(range(len(involutions)),
+                                            repeat=n - 1)
+            c0 = 0      # index of the chunk's first involution assignment
+            while block := list(itertools.islice(assignments, chunk)):
+                names = [tuple(involutions[i] for i in row) for row in block]
+                slots = [inv_stack[list(column)] for column in zip(*block)]
+                for i_phi, phi in enumerate(phis):
                     e3 = np.array([[0.0, np.exp(-1j * phi)],
                                    [np.exp(1j * phi), 0.0]])
-                    chain = kron_all(*left, e3, *right)
-                    for theta in thetas:
-                        p = params_cache[(theta, phi)]
-                        diag2 = np.where(kth_bit, p.b ** 2, p.a ** 2)
-                        E2 = np.diag(diag2.astype(np.complex128)) \
-                            + (p.a * p.b) * chain
-                        yield p, shape, names, E1, E2
+                    chains = _chain_stack(slots[:k - 1] + [e3[None]]
+                                          + slots[k - 1:])
+                    for i_theta, p in enumerate(params[i_phi]):
+                        E2 = (p.a * p.b) * chains
+                        E2.reshape(len(E2), -1)[:, ::dim + 1] += np.where(
+                            kth_bit, p.b ** 2, p.a ** 2)
+                        at = first + (c0 * len(phis) + i_phi) * len(thetas) \
+                            + i_theta
+                        yield GridSlice(
+                            p, shape, names,
+                            range(at, at + len(block) * per_name, per_name),
+                            E1, E2)
+                c0 += len(block)
+            first += c0 * per_name
 
 
 def _grid_report(acc: ReportAccumulator) -> RelationReport:
@@ -85,37 +150,40 @@ def _grid_report(acc: ReportAccumulator) -> RelationReport:
     return acc.report(note=f"{acc.points} grid points")
 
 
-def _point_label(theta, phi, shape, names) -> str:
-    s = ",".join(names) if names else "-"
-    return f"theta={theta:.6g} phi={phi:.6g} n={shape.n} k={shape.k} s={s}"
+def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
+    """Fold one slice's (name, residuals) pairs into the accumulator."""
+    p, shape, names = grid.params, grid.shape, grid.names
+
+    def label(i: int) -> str:
+        s = ",".join(names[i]) if names[i] else "-"
+        return (f"theta={p.theta:.6g} phi={p.phi:.6g} n={shape.n} "
+                f"k={shape.k} s={s}")
+
+    for name, residuals in named:
+        acc.add(name, residuals, label, grid.positions)
+    acc.add_point(len(names))
 
 
 def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Temperley-Lieb relations (projector and h-form) across the grid."""
     acc = ReportAccumulator(tol)
-    for p, shape, names, E1, E2 in iter_grid(**grid_kwargs):
-        point = _point_label(p.theta, p.phi, shape, names)
-        for check in check_tl_relations(E1, E2, p, tol).checks:
-            acc.add(check.name, check.residual, point)
-        acc.add_point()
+    for grid in iter_grid(**grid_kwargs):
+        _fold(acc, grid, check_tl_relations(grid.E1, grid.E2, grid.params, tol))
     return _grid_report(acc)
 
 
 def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Braid relation, unitarity, and inverse checks across the grid."""
     acc = ReportAccumulator(tol)
-    for p, shape, names, E1, E2 in iter_grid(**grid_kwargs):
-        point = _point_label(p.theta, p.phi, shape, names)
-        eye = np.eye(E1.shape[0], dtype=np.complex128)
-        A = p.A
-        h1, h2 = p.d * E1, p.d * E2
+    for grid in iter_grid(**grid_kwargs):
+        eye = np.eye(grid.E1.shape[0], dtype=np.complex128)
+        A = grid.params.A
+        h1, h2 = grid.params.d * grid.E1, grid.params.d * grid.E2
         b1, b2 = A * h1 + eye / A, A * h2 + eye / A
-        acc.add("braid_b1b2b1", max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2), point)
-        acc.add("unitary_b1", max_abs(dagger(b1) @ b1 - eye), point)
-        acc.add("unitary_b2", max_abs(dagger(b2) @ b2 - eye), point)
-        acc.add("inverse_b1", max_abs(b1 @ (h1 / A + A * eye) - eye), point)
-        acc.add("inverse_b2", max_abs(b2 @ (h2 / A + A * eye) - eye), point)
-        acc.add_point()
+        _fold(acc, grid, check_braid_relations((b1, b2), tol) + [
+            ("inverse_b1", max_abs(b1 @ (h1 / A + A * eye) - eye)),
+            ("inverse_b2", max_abs(b2 @ (h2 / A + A * eye) - eye)),
+        ])
     return _grid_report(acc)
 
 
@@ -142,12 +210,12 @@ def run_powers_suite(theta: float = np.pi / 8, phi: float = 0.0,
     )
 
 
-def run_cnot_suite(theta: float = np.pi / 8,
-                   tol: Optional[float] = None) -> RelationReport:
+def run_cnot_suite(tol: Optional[float] = None) -> RelationReport:
     """Gate-level identities: CNOT decomposition and psi = H^3 |GHZ3>,
-    both at tol when given, else at 1e-12 and 1e-13."""
+    both at tol when given, else at 1e-12 and 1e-13.  The decomposition
+    is checked at theta = pi/8, the only angle where it is exact."""
     dec_tol, psi_tol = (1e-12, 1e-13) if tol is None else (tol, tol)
-    dec = verify_cnot_decomposition(tl_params(theta), tol=dec_tol)
+    dec = verify_cnot_decomposition(tol=dec_tol)
     psi = verify_psi_ghz_relation(tol=psi_tol)
     return RelationReport(checks=dec.checks + psi.checks, tol=dec_tol,
                           note=f"psi-ghz relation checked at {psi_tol:g}")
@@ -175,8 +243,7 @@ def run_suite(name: str, tol: Optional[float] = None,
             out[suite] = run_powers_suite(theta=thetas[0], phi=phis[0],
                                           tol=default)
         elif suite == "cnot":
-            thetas = grid_kwargs.get("thetas") or (np.pi / 8,)
-            out[suite] = run_cnot_suite(theta=thetas[0], tol=tol)
+            out[suite] = run_cnot_suite(tol=tol)
         else:
             raise ValueError(f"unknown suite {name!r}; choose from "
                              f"{', '.join(SUITES)} or all")

@@ -359,6 +359,24 @@ class TestSizes:
         assert code == 2
         assert peak < 10 * 2**20
 
+    def test_grid_over_the_work_limit_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "verify", "tla", "--n", "7")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 10 * 2**20
+        message = json.loads(err)["message"]
+        assert "matrix work" in message
+        assert all(flag in message for flag in ("--k", "--s", "--theta", "--phi"))
+
+    def test_narrowed_grid_under_the_work_limit_runs(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "tla", "--n", "7", "--k", "1",
+                                "--s", "x", "--theta", "pi/8", "--phi", "0")
+        assert code == 0 and obj["pass"]
+
 
 class TestSinglePath:
     @pytest.mark.parametrize("argv", [
@@ -470,6 +488,7 @@ class TestFlagContract:
         (["entropy", "--state", "01", "--n", "2"], None),
         (["entropy", "--state", "01"], {"theta": "pi/8"}),
         (["generate", "basis-superpose", "--state", "010", "--n", "4"], None),
+        (["verify", "cnot", "--theta", "pi/6"], None),
     ])
     def test_unread_keys_exit_2(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -486,6 +505,12 @@ class TestFlagContract:
                                 "--tol", "1e-9")
         assert code == 0
         assert set(obj["reports"]) == {"tla", "braid", "ybe", "powers", "cnot"}
+
+    def test_cnot_checks_at_pi_8_whatever_the_grid_theta(self, capsys):
+        code, obj, _ = run_json(capsys, "verify", "all", "--theta", "pi/6",
+                                "--n", "2")
+        assert code == 0
+        assert obj["reports"]["cnot"]["pass"]
 
     def test_every_key_is_read_somewhere(self):
         assert set().union(*cli.READS.values()) | {"format", "out"} \
@@ -641,6 +666,8 @@ def _must_refuse(argv) -> bool:
     flags = dict(a.split("=", 1) for a in argv if a.startswith("--") and "=" in a)
     if argv[:2] == ["verify", "powers"] and "--n" in flags:
         return True
+    if argv[:2] == ["verify", "cnot"] and "--theta" in flags:
+        return True
     if argv[:2] in (["verify", "ybe"], ["generate", "ghz"]):
         return bool({"--k", "--s"} & set(flags))
     return (argv[0] == "entropy" and "--measure" in flags
@@ -652,6 +679,7 @@ def _must_refuse(argv) -> bool:
 @given(argv=_ARGV, config=st.none() | _JSON.map(lambda v: [v]))
 @example(argv=["verify", "powers", "--n=30"], config=None)
 @example(argv=["verify", "ybe", "--k=40", "--s=q"], config=None)
+@example(argv=["verify", "cnot", "--theta=pi/6"], config=None)
 @example(argv=["generate", "ghz", "--n=3", "--k=3", "--s=h,h"], config=None)
 @example(argv=["entropy", "--state=0", "--measure=1"], config=None)
 def test_fuzz_cli_exits_cleanly(argv, config):

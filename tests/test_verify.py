@@ -1,29 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from tlbraid import (RepShape, check_tl_relations, jones_representation,
-                     max_abs, tl_params, tl_projectors)
-from tlbraid.tla import involution_spec
-from tlbraid.verify import (GRID_PHIS, GRID_THETAS, iter_grid,
-                            run_braid_suite, run_cnot_suite, run_powers_suite,
-                            run_suite, run_tla_suite, run_ybe_suite)
+from tlbraid import (RelationCheck, RelationReport, RepShape,
+                     check_tl_relations, dagger, jones_representation,
+                     kron_all, max_abs, tl_params, tl_projectors)
+from tlbraid import verify
+from tlbraid.reports import ReportAccumulator
+from tlbraid.tla import involution_matrix, involution_spec
+from tlbraid.verify import (GRID_INVOLUTIONS, GRID_PHIS, GRID_THETAS,
+                            iter_grid, run_braid_suite, run_cnot_suite,
+                            run_powers_suite, run_suite, run_tla_suite,
+                            run_ybe_suite)
 
 
 def test_grid_point_count():
-    # sum over n of k * 5^(n-1) placements, times 10 (theta, phi) pairs
-    pts = list(iter_grid())
+    # sum over n of k * 5^(n-1) placements, times 10 (theta, phi) pairs; the
+    # stacks' positions number every point once, in grid order
     shapes = sum(n * 5 ** (n - 1) for n in range(1, 6))
-    assert len(pts) == shapes * len(GRID_THETAS) * len(GRID_PHIS)
+    positions = []
+    for grid in iter_grid():
+        assert len(grid.names) == len(grid.positions) == grid.E2.shape[0]
+        positions.extend(grid.positions)
+    assert sorted(positions) == list(
+        range(shapes * len(GRID_THETAS) * len(GRID_PHIS)))
 
 
 def test_grid_restriction():
-    pts = list(iter_grid(thetas=(np.pi / 8,), phis=(0.0,), ns=(3,), ks=(2,),
-                         involutions=("x",)))
-    assert len(pts) == 1
-    p, shape, names, E1, E2 = pts[0]
+    grids = list(iter_grid(thetas=(np.pi / 8,), phis=(0.0,), ns=(3,), ks=(2,),
+                           involutions=("x",)))
+    assert len(grids) == 1
+    p, shape, names, positions, E1, E2 = grids[0]
     assert (p.theta, p.phi) == (np.pi / 8, 0.0)
-    assert shape == RepShape(3, 2) and names == ("x", "x")
-    assert E1.shape == E2.shape == (8, 8)
+    assert shape == RepShape(3, 2) and list(names) == [("x", "x")]
+    assert positions == range(1)
+    assert E1.shape == (8, 8) and E2.shape == (1, 8, 8)
 
 
 def test_tla_suite_small_grid_matches_direct_checks():
@@ -95,12 +107,121 @@ def test_failure_aggregation_records_worst_point():
 def test_hoisted_assembly_matches_tl_projectors():
     # every point of the n <= 4 grid: E1 exactly, E2 to rounding
     points = 0
-    for p, shape, names, E1, E2 in iter_grid(ns=(1, 2, 3, 4)):
-        ref1, ref2 = tl_projectors(shape, p, involution_spec(names))
-        assert max_abs(E1 - ref1) == 0.0
-        assert max_abs(E2 - ref2) < 1e-15
-        points += 1
+    for grid in iter_grid(ns=(1, 2, 3, 4)):
+        for names, E2 in zip(grid.names, grid.E2, strict=True):
+            ref1, ref2 = tl_projectors(grid.shape, grid.params,
+                                       involution_spec(names))
+            assert max_abs(grid.E1 - ref1) == 0.0
+            assert max_abs(E2 - ref2) < 1e-15
+            points += 1
     assert points == sum(n * 5 ** (n - 1) for n in range(1, 5)) * 10
+
+
+def _reference_suites(ns, tol):
+    """The per-point sweep the stacked suites replace: one point at a time
+    in n -> k -> names -> phi -> theta order, a strictly larger residual
+    taking the worst point."""
+    inv = {name: involution_matrix(name) for name in GRID_INVOLUTIONS}
+    worst = {"tla": {}, "braid": {}}
+    counts = {"tla": {}, "braid": {}}
+    points = 0
+    for n in ns:
+        dim = 1 << n
+        eye = np.eye(dim, dtype=np.complex128)
+        for k in range(1, n + 1):
+            kth_bit = (np.arange(dim) >> (n - k)) & 1
+            E1 = np.diag((1 - kth_bit).astype(np.complex128))
+            for names in itertools.product(GRID_INVOLUTIONS, repeat=n - 1):
+                slots = [inv[name] for name in names]
+                for phi in GRID_PHIS:
+                    e3 = np.array([[0.0, np.exp(-1j * phi)],
+                                   [np.exp(1j * phi), 0.0]])
+                    chain = kron_all(*slots[:k - 1], e3, *slots[k - 1:])
+                    for theta in GRID_THETAS:
+                        p = tl_params(theta, phi)
+                        diag2 = np.where(kth_bit, p.b ** 2, p.a ** 2)
+                        E2 = np.diag(diag2.astype(np.complex128)) \
+                            + (p.a * p.b) * chain
+                        A = p.A
+                        h1, h2 = p.d * E1, p.d * E2
+                        b1, b2 = A * h1 + eye / A, A * h2 + eye / A
+                        residuals = {
+                            "tla": [(c.name, c.residual) for c in
+                                    check_tl_relations(E1, E2, p, tol).checks],
+                            "braid": [
+                                ("braid_b1b2b1",
+                                 max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2)),
+                                ("unitary_b1", max_abs(dagger(b1) @ b1 - eye)),
+                                ("unitary_b2", max_abs(dagger(b2) @ b2 - eye)),
+                                ("inverse_b1",
+                                 max_abs(b1 @ (h1 / A + A * eye) - eye)),
+                                ("inverse_b2",
+                                 max_abs(b2 @ (h2 / A + A * eye) - eye)),
+                            ],
+                        }
+                        where = (f"theta={theta:.6g} phi={phi:.6g} n={n} "
+                                 f"k={k} s={','.join(names) or '-'}")
+                        for suite, named in residuals.items():
+                            for name, r in named:
+                                counts[suite][name] = \
+                                    counts[suite].get(name, 0) + 1
+                                if name not in worst[suite] or \
+                                        r > worst[suite][name][0]:
+                                    worst[suite][name] = (r, where)
+                        points += 1
+    return {
+        suite: RelationReport(
+            checks=tuple(
+                RelationCheck(name, r, r <= tol, instances=counts[suite][name],
+                              worst_at=where)
+                for name, (r, where) in sorted(worst[suite].items())),
+            tol=tol, note=f"{points} grid points")
+        for suite in worst
+    }
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 2048])
+@pytest.mark.parametrize("tol", [1e-10, 1e-20])
+def test_stacked_suites_match_the_per_point_sweep(monkeypatch, tol,
+                                                  chunk_bytes):
+    # 2048 bytes cuts the n = 3 slices into 1-matrix chunks, so ties are
+    # broken across chunks too
+    if chunk_bytes is not None:
+        monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", chunk_bytes)
+    ns = (1, 2, 3)
+    ref = _reference_suites(ns, tol)
+    stacked = {"tla": run_tla_suite(tol=tol, ns=ns),
+               "braid": run_braid_suite(tol=tol, ns=ns)}
+    for suite in ref:
+        assert stacked[suite].to_json() == ref[suite].to_json()
+    if tol == 1e-20:
+        # every nonzero relation fails at its argmax point
+        braid = {c.name: c for c in stacked["braid"].checks}["braid_b1b2b1"]
+        assert not braid.passed and braid.residual > 0.0
+        assert braid.worst_at == {
+            c.name: c for c in ref["braid"].checks}["braid_b1b2b1"].worst_at
+
+
+def test_accumulator_ties_go_to_the_earliest_position():
+    acc = ReportAccumulator(tol=1.0)
+    labelled = []
+
+    def label(tag):
+        return lambda i: labelled.append(f"{tag}{i}") or f"{tag}{i}"
+
+    acc.add("r", np.array([0.5, 2.0, 2.0]), label("a"), range(10, 13))
+    acc.add("r", np.array([2.0, 1.0]), label("b"), range(3, 5))
+    acc.add("r", 2.0, label("c"), range(20, 22))
+    check, = acc.report().checks
+    assert (check.residual, check.worst_at, check.instances) == (2.0, "b0", 7)
+    assert labelled == ["a1", "b0"]
+
+
+def test_zero_residual_relation_keeps_the_first_grid_point():
+    report = run_tla_suite(ns=(2, 3))
+    check = {c.name: c for c in report.checks}["E1_idempotent"]
+    assert check.residual == 0.0
+    assert check.worst_at == "theta=0.392699 phi=0 n=2 k=1 s=i"
 
 
 def test_run_suite_keeps_a_zero_tol():
