@@ -20,7 +20,6 @@ import numpy as np
 
 from .braidrep import BraidRepresentation, bell_matrix
 from .errors import BraidSyntaxError, DimensionMismatchError, DomainError
-from .linalg import dagger
 from .states import apply_structured
 from .tla import StructuredBraidOp
 
@@ -48,8 +47,12 @@ def parse(text: str, declared_strands: Optional[int] = None) -> BraidWord:
             raise BraidSyntaxError(
                 f"bad factor {tok.group()!r}; expected bN or bN^E", tok.start()
             )
-        index = int(m.group(1))
-        exponent = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            index = int(m.group(1))
+            exponent = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:      # beyond Python's int-from-text digit limit
+            raise BraidSyntaxError("number with too many digits",
+                                   tok.start()) from None
         if index < 1:
             raise BraidSyntaxError("generator index must be >= 1", tok.start())
         if exponent == 0:
@@ -92,14 +95,23 @@ def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
 
 def fold(word: BraidWord, rep: BraidRepresentation) -> StructuredBraidOp:
     """A jones word as one slot-chain pair; each power b_i^e costs
-    O(log |e|) 2x2 pair products."""
+    O(log |e|) 2x2 pair products.  Each squaring doubles the rounding
+    drift, so a word whose pair deviates from unitarity by more than 1e-9,
+    or whose powers overflow first, is refused with a DomainError."""
     _check_compat(word, rep)
     if rep.family != "jones":
         raise DomainError(f"only jones words fold into a pair, not {rep.family}")
     pairs = rep.pairs
-    return reduce(operator.matmul, (
-        (pairs.generators if e > 0 else pairs.inverses)[i - 1] ** abs(e)
-        for i, e in word.factors))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            op = reduce(operator.matmul, (
+                (pairs.generators if e > 0 else pairs.inverses)[i - 1] ** abs(e)
+                for i, e in word.factors))
+        op.require_unitary(1e-9)
+    except (FloatingPointError, DomainError) as exc:
+        raise DomainError(f"braid word {render(word)!r:.80} is too long to "
+                          f"fold within 1e-9 of unitarity: {exc}") from None
+    return op
 
 
 def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
@@ -108,8 +120,8 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
 
     A jones word folds into one slot-chain pair (2x2 products, each power
     by binary powering) that acts in one pass over the amplitudes.  A bell
-    word applies R^e to qubits (i, i+1) one factor at a time, the rightmost
-    first, as (g1 g2 ...) v does.
+    word applies R^(e mod 8) to qubits (i, i+1) one factor at a time, the
+    rightmost first, as (g1 g2 ...) v does.
     """
     if rep.dim != v.shape[0]:
         raise DimensionMismatchError(
@@ -120,7 +132,7 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
     _check_compat(word, rep)
     r = bell_matrix()
     for index, exponent in reversed(word.factors):
-        factor = np.linalg.matrix_power(r if exponent > 0 else dagger(r),
-                                        abs(exponent))
+        # R^8 = I, so R^e = R^(e mod 8) for every integer e, exactly
+        factor = np.linalg.matrix_power(r, exponent % 8)
         v = np.matmul(factor, v.reshape(1 << (index - 1), 4, -1)).reshape(-1)
     return v

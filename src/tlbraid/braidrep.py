@@ -21,10 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import dagger, kron_all, matrix_to_json, max_abs
+from .linalg import dagger, kron, kron_all, matrix_to_json, max_abs
 from .reports import RelationReport, report_or_residuals
-from .tla import (InvolutionSpec, JonesPairs, RepShape, TLParams,
-                  _check_capacity, jones_pairs)
+from .tla import InvolutionSpec, JonesPairs, RepShape, TLParams, jones_pairs
 
 _BELL = (1.0 / np.sqrt(2.0)) * np.array(
     [[1, 0, 0, -1],
@@ -66,7 +65,6 @@ class BraidRepresentation:
         """The dense generator matrices (dense cap applies)."""
         if self.pairs:
             return tuple(b.dense() for b in self.pairs.generators)
-        _check_capacity(self.strands)
         eye = np.eye(2, dtype=np.complex128)
         m = self.strands
         return tuple(kron_all(*[eye] * (i - 1), _BELL, *[eye] * (m - i - 1))
@@ -136,8 +134,8 @@ def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:
     if r.shape != (4, 4):
         raise DimensionMismatchError(f"Yang-Baxter check needs a 4x4 matrix, got {r.shape}")
     eye = np.eye(2, dtype=np.complex128)
-    ri = np.kron(r, eye)
-    ir = np.kron(eye, r)
+    ri = kron(r, eye)
+    ir = kron(eye, r)
     residual = max_abs(ri @ ir @ ri - ir @ ri @ ir)
     return RelationReport.from_residuals([("yang_baxter", residual)], tol)
 

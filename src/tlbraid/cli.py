@@ -405,7 +405,7 @@ def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
         }
         header.append(f"# measured qubit {measure} -> {outcome} "
                       f"with probability {prob:.12g}")
-    if cut:
+    if cut is not None:
         try:
             subset = [int(tok) for tok in cut.split(",") if tok.strip()]
         except ValueError:

@@ -59,18 +59,17 @@ def gate(name: str) -> np.ndarray:
         raise UnknownGateError(f"unknown gate {name!r}; known: {known}") from None
 
 
-def verify_cnot_decomposition(params=None, tol: float = 1e-12) -> RelationReport:
+def verify_cnot_decomposition(tol: float = 1e-12) -> RelationReport:
     """Residual of CNOT - (alpha x beta) B(2,1) (gamma x delta).
 
-    The identity is exact at theta=pi/8 (the decomposition's local unitaries
-    are specific to that B(2,1)); no phase freedom is allowed.
+    The identity is exact at theta=pi/8, the default of
+    `structured_braid_op` (the decomposition's local unitaries are specific
+    to that B(2,1)); no phase freedom is allowed.
     """
     from .states import structured_braid_op
-    from .tla import RepShape, tl_params
+    from .tla import RepShape
 
-    if params is None:
-        params = tl_params(np.pi / 8)
-    b21 = structured_braid_op(RepShape(n=2, k=1), params).dense()
+    b21 = structured_braid_op(RepShape(n=2, k=1)).dense()
     assembled = kron(ALPHA, BETA) @ b21 @ kron(GAMMA, DELTA)
     residual = max_abs(assembled - CNOT)
     return RelationReport.from_residuals(

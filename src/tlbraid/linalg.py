@@ -7,8 +7,10 @@ Conventions used throughout the package:
   * qubit 1 is the leftmost tensor factor and the most significant bit of
     the amplitude index, so |a1 a2 ... an> sits at index sum a_j 2**(n-j),
   * no function mutates its inputs,
-  * dense matrices are capped at 2**12 x 2**12 (DENSE_CAP_DIM) where they
-    are asked for (`braidlang.evaluate`, a representation's `.generators`,
+  * dense matrices, built by `kron_all` (stacks (..., rows, cols) that
+    broadcast, as in `dagger` and `max_abs`), are capped at 2**12 x 2**12
+    (DENSE_CAP_DIM) entries per matrix and per stack where they are asked
+    for (`braidlang.evaluate`, a representation's `.generators`,
     `tla.tl_projectors`); braid words act on states of any size up to the
     structured cap of `states` without them.
 
@@ -18,6 +20,8 @@ are {"rows", "cols", "entries"} with row-major entries; states are
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,24 +71,38 @@ def num_qubits(v: np.ndarray) -> int:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor most significant.
-
-    Raises CapacityError if the result would exceed the dense cap.
-    """
-    rows = a.shape[0] * b.shape[0]
-    cols = (a.shape[1] if a.ndim == 2 else 1) * (b.shape[1] if b.ndim == 2 else 1)
-    if max(rows, cols) > DENSE_CAP_DIM:
-        raise CapacityError(
-            f"kron result {rows}x{cols} exceeds dense cap {DENSE_CAP_DIM}"
-        )
-    return np.kron(a, b)
+    """Kronecker product of two factors (see `kron_all`)."""
+    return kron_all(a, b)
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:
-    """Fold `kron` over the factors left to right."""
-    out = np.array([[1.0 + 0.0j]])
+    """Kronecker product, left factor most significant, of matrices, rows
+    (1-D) or stacks (..., rows, cols) that broadcast: entry i of a stack is
+    the product of the factors' entries i, folded left to right from 1.
+
+    Raises CapacityError, before allocating, if a result matrix would
+    exceed the dense cap or the stack hold more entries than one would.
+    """
+    factors = [np.atleast_2d(f) for f in factors]
+    try:
+        batch = np.broadcast_shapes(*(f.shape[:-2] for f in factors))
+    except ValueError:
+        raise DimensionMismatchError(
+            f"kron stacks {[f.shape for f in factors]} do not broadcast"
+        ) from None
+    rows = math.prod(f.shape[-2] for f in factors)
+    cols = math.prod(f.shape[-1] for f in factors)
+    if max(rows, cols) > DENSE_CAP_DIM or \
+            math.prod(batch) * rows * cols > DENSE_CAP_DIM ** 2:
+        raise CapacityError(
+            f"kron of {len(factors)} factors stacked {batch} exceeds the "
+            f"dense cap of {DENSE_CAP_DIM}x{DENSE_CAP_DIM} entries"
+        )
+    out = np.ones((1, 1), dtype=np.complex128)
     for f in factors:
-        out = kron(out, f)
+        product = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = product.reshape(product.shape[:-4] + (
+            out.shape[-2] * f.shape[-2], out.shape[-1] * f.shape[-1]))
     return out
 
 

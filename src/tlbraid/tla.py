@@ -12,14 +12,13 @@ block dressed with the involution chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gates
-from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import DENSE_CAP_DIM, DENSE_CAP_QUBITS, dagger, kron_all, max_abs
+from .errors import DimensionMismatchError, DomainError
+from .linalg import dagger, kron_all, max_abs
 from .reports import report_or_residuals
 
 _INVOLUTION_TOL = 1e-14
@@ -122,16 +121,13 @@ def involution_matrix(spec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvolutionSpec:
-    """The n-1 involutions on slots j != k, in ascending j order."""
+    """The n-1 involutions on slots j != k, in ascending j order; each a
+    2x2, or an (m, 2, 2) stack standing for m dressings at once."""
 
     slots: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def split(self, k: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Factors left of slot k (j < k) and right of it (j > k)."""
-        return self.slots[:k - 1], self.slots[k - 1:]
 
 
 def involution_spec(specs) -> InvolutionSpec:
@@ -148,28 +144,13 @@ def default_involution_spec(shape: RepShape) -> InvolutionSpec:
     return involution_spec(names)
 
 
-@lru_cache(maxsize=128)
-def _blocks_cached(theta, phi, a_sign, b_sign):
-    p = tl_params(theta, phi, a_sign, b_sign)
+def local_blocks(p: TLParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 blocks e1 = diag(1,0), e2 = diag(a^2,b^2), e3 = phase flip."""
     e1 = np.diag([1.0, 0.0]).astype(np.complex128)
     e2 = np.diag([p.a**2, p.b**2]).astype(np.complex128)
     e3 = np.array([[0.0, np.exp(-1j * p.phi)],
                    [np.exp(1j * p.phi), 0.0]])
     return e1, e2, e3
-
-
-def local_blocks(p: TLParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2x2 blocks e1 = diag(1,0), e2 = diag(a^2,b^2), e3 = phase flip."""
-    e1, e2, e3 = _blocks_cached(p.theta, p.phi, p.a_sign, p.b_sign)
-    return e1.copy(), e2.copy(), e3.copy()
-
-
-def _check_capacity(n: int) -> None:
-    if n > DENSE_CAP_QUBITS:    # exponents: 1 << n is itself huge for huge n
-        raise CapacityError(
-            f"dense 2^{n} x 2^{n} matrix exceeds cap {DENSE_CAP_DIM}; "
-            "use the structured path in tlbraid.states"
-        )
 
 
 @dataclass(frozen=True)
@@ -222,26 +203,29 @@ class StructuredBraidOp:
         return replace(self, diag_block=dagger(self.diag_block),
                        offdiag_block=dagger(self.offdiag_block))
 
-    def require_unitary(self) -> None:
-        """Raise DomainError unless P^+P + Q^+Q = I and P^+Q + Q^+P = 0,
-        the unitarity of the operator the pair stands for."""
+    def require_unitary(self, tol: float = 1e-14) -> None:
+        """Raise DomainError unless P^+P + Q^+Q = I and P^+Q + Q^+P = 0
+        within tol, the unitarity of the operator the pair stands for."""
         p, q = self.diag_block, self.offdiag_block
         residual = max(max_abs(dagger(p) @ p + dagger(q) @ q - np.eye(2)),
                        max_abs(dagger(p) @ q + dagger(q) @ p))
-        if residual > 1e-14:
+        if residual > tol:
             raise DomainError(
                 f"slot-chain pair deviates from unitarity by {residual:.3e}")
 
     def dense(self) -> np.ndarray:
-        """Materialize the 2^n x 2^n matrix (dense cap applies)."""
+        """Materialize the 2^n x 2^n matrix, a stack of m of them when the
+        involution slots are (m, 2, 2) stacks (`kron_all`'s cap applies)."""
         n, k = self.shape.n, self.shape.k
-        _check_capacity(n)
         ones = [np.ones(2)]
-        out = np.diag(kron_all(*ones * (k - 1), np.diagonal(self.diag_block),
-                               *ones * (n - k)).ravel())
-        if self.offdiag_block.any():
-            left, right = self.spec.split(k)
-            out += kron_all(*left, self.offdiag_block, *right)
+        diagonal = kron_all(*ones * (k - 1), np.diagonal(self.diag_block),
+                            *ones * (n - k)).ravel()
+        if not self.offdiag_block.any():
+            return np.diag(diagonal)
+        slots = self.spec.slots
+        out = kron_all(*slots[:k - 1], self.offdiag_block, *slots[k - 1:])
+        # the chain term is zero on the diagonal, since Q is
+        out.reshape(out.shape[:-2] + (-1,))[..., ::(1 << n) + 1] += diagonal
         return out
 
 

@@ -3,9 +3,11 @@
 The standard grid is the one the package is validated against:
 theta in {pi/8, -pi/8, pi/6, pi+pi/8, pi-pi/8}, phi in {0, pi/3},
 n in 1..5 with every slot k and every per-slot involution assignment drawn
-from {I, X, Y, Z, H}.  `iter_grid` stacks the E2 matrices of all
-assignments of one (n, k, phi, theta) into (m, dim, dim) arrays of at most
-GRID_CHUNK_BYTES, and each relation is one broadcast matmul and one
+from {I, X, Y, Z, H}.  The suites check the library's own operators:
+`iter_grid` yields the `jones_pairs` of all assignments of one
+(n, k, phi, theta), in chunks of at most GRID_CHUNK_BYTES of matrices,
+with the involution slots as stacks; `.dense()` makes each pair an
+(m, dim, dim) array, and each relation is one broadcast matmul and one
 `max_abs` over a stack.  Suites fold the residuals into one RelationReport:
 the max per relation, at its first point in n -> k -> names -> phi -> theta
 order.  A grid with more matrix work (points x dim^3) than the standard
@@ -26,8 +28,9 @@ from .gates import verify_cnot_decomposition, verify_psi_ghz_relation
 from .errors import DomainError
 from .linalg import DENSE_CAP_QUBITS, dagger, max_abs
 from .reports import RelationReport, ReportAccumulator
-from .tla import (RepShape, TLParams, check_tl_relations,
-                  default_involution_spec, involution_matrix, tl_params)
+from .tla import (InvolutionSpec, JonesPairs, RepShape, check_tl_relations,
+                  default_involution_spec, involution_matrix, jones_pairs,
+                  tl_params)
 
 GRID_THETAS: tuple[float, ...] = (
     np.pi / 8, -np.pi / 8, np.pi / 6, np.pi + np.pi / 8, np.pi - np.pi / 8,
@@ -58,26 +61,9 @@ GRID_WORK_LIMIT = _grid_work(GRID_THETAS, GRID_PHIS, GRID_NS, None,
 class GridSlice(NamedTuple):
     """Points of one (n, k, phi, theta) slice, stacked over involutions."""
 
-    params: TLParams
-    shape: RepShape
     names: Sequence[tuple[str, ...]]    # involution names of each point
     positions: range                    # each point's place in grid order
-    E1: np.ndarray                      # (dim, dim), shared by the stack
-    E2: np.ndarray                      # (len(names), dim, dim)
-
-
-def _chain_stack(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Batched `kron_all`: entry i is the kron of the factors' entries i.
-
-    Each factor has shape (m, 2, 2) or (1, 2, 2), the latter shared by
-    every entry; the products are kron_all's, in its order.
-    """
-    out = np.ones((1, 1, 1), dtype=np.complex128)
-    for f in factors:
-        rows, cols = out.shape[1] * 2, out.shape[2] * 2
-        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(
-            -1, rows, cols)
-    return out
+    pairs: JonesPairs                   # involution slots as (m, 2, 2) stacks
 
 
 def iter_grid(thetas: Optional[Sequence[float]] = None,
@@ -88,11 +74,12 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
               ) -> Iterator[GridSlice]:
     """Yield the product grid as stacked GridSlices.
 
-    E1 is built once per (n, k), and the involution-dressed e3 chains
-    once per chunk of involution assignments and phi, with a batched kron,
-    for every theta; the tests check every point against `tl_projectors`.  Qubit counts outside 1..12 and grids
-    whose matrix work exceeds GRID_WORK_LIMIT are refused before anything
-    is built.
+    Each slice holds the `jones_pairs` of a chunk of involution
+    assignments at one (n, k, phi, theta): its spec's slots are stacks
+    (m, 2, 2) of the assignments' involutions, so `.dense()` of a pair
+    is a stack of m matrices.  Qubit counts outside 1..12 and grids whose
+    matrix work exceeds GRID_WORK_LIMIT are refused before anything is
+    built.
     """
     thetas = GRID_THETAS if thetas is None else tuple(thetas)
     phis = GRID_PHIS if phis is None else tuple(phis)
@@ -113,33 +100,24 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
     per_name = len(phis) * len(thetas)
     first = 0   # grid position of the current (n, k) block's first point
     for n in ns:
-        dim = 1 << n
-        chunk = max(1, GRID_CHUNK_BYTES // (16 * dim * dim))
+        chunk = max(1, GRID_CHUNK_BYTES // (16 * 4 ** n))
         for k in _slots(n, ks):
             shape = RepShape(n=n, k=k)
-            kth_bit = (np.arange(dim) >> (n - k)) & 1
-            E1 = np.diag((1 - kth_bit).astype(np.complex128))
             assignments = itertools.product(range(len(involutions)),
                                             repeat=n - 1)
             c0 = 0      # index of the chunk's first involution assignment
             while block := list(itertools.islice(assignments, chunk)):
                 names = [tuple(involutions[i] for i in row) for row in block]
-                slots = [inv_stack[list(column)] for column in zip(*block)]
-                for i_phi, phi in enumerate(phis):
-                    e3 = np.array([[0.0, np.exp(-1j * phi)],
-                                   [np.exp(1j * phi), 0.0]])
-                    chains = _chain_stack(slots[:k - 1] + [e3[None]]
-                                          + slots[k - 1:])
-                    for i_theta, p in enumerate(params[i_phi]):
-                        E2 = (p.a * p.b) * chains
-                        E2.reshape(len(E2), -1)[:, ::dim + 1] += np.where(
-                            kth_bit, p.b ** 2, p.a ** 2)
+                spec = InvolutionSpec(tuple(inv_stack[list(column)]
+                                            for column in zip(*block)))
+                for i_phi, by_theta in enumerate(params):
+                    for i_theta, p in enumerate(by_theta):
                         at = first + (c0 * len(phis) + i_phi) * len(thetas) \
                             + i_theta
                         yield GridSlice(
-                            p, shape, names,
+                            names,
                             range(at, at + len(block) * per_name, per_name),
-                            E1, E2)
+                            jones_pairs(shape, p, spec))
                 c0 += len(block)
             first += c0 * per_name
 
@@ -150,9 +128,17 @@ def _grid_report(acc: ReportAccumulator) -> RelationReport:
     return acc.report(note=f"{acc.points} grid points")
 
 
+def _stacks(ops) -> list[np.ndarray]:
+    """The ops' dense matrices as stacks (m or 1, dim, dim), also at n = 1,
+    where no involution slot carries the stack axis."""
+    return [np.reshape(m, (-1,) + m.shape[-2:])
+            for m in (op.dense() for op in ops)]
+
+
 def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
     """Fold one slice's (name, residuals) pairs into the accumulator."""
-    p, shape, names = grid.params, grid.shape, grid.names
+    op = grid.pairs.projectors[0]
+    p, shape, names = op.params, op.shape, grid.names
 
     def label(i: int) -> str:
         s = ",".join(names[i]) if names[i] else "-"
@@ -168,7 +154,9 @@ def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Temperley-Lieb relations (projector and h-form) across the grid."""
     acc = ReportAccumulator(tol)
     for grid in iter_grid(**grid_kwargs):
-        _fold(acc, grid, check_tl_relations(grid.E1, grid.E2, grid.params, tol))
+        E1, E2 = _stacks(grid.pairs.projectors)
+        p = grid.pairs.projectors[0].params
+        _fold(acc, grid, check_tl_relations(E1, E2, p, tol))
     return _grid_report(acc)
 
 
@@ -176,13 +164,12 @@ def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     """Braid relation, unitarity, and inverse checks across the grid."""
     acc = ReportAccumulator(tol)
     for grid in iter_grid(**grid_kwargs):
-        eye = np.eye(grid.E1.shape[0], dtype=np.complex128)
-        A = grid.params.A
-        h1, h2 = grid.params.d * grid.E1, grid.params.d * grid.E2
-        b1, b2 = A * h1 + eye / A, A * h2 + eye / A
-        _fold(acc, grid, check_braid_relations((b1, b2), tol) + [
-            ("inverse_b1", max_abs(b1 @ (h1 / A + A * eye) - eye)),
-            ("inverse_b2", max_abs(b2 @ (h2 / A + A * eye) - eye)),
+        gens = _stacks(grid.pairs.generators)
+        invs = _stacks(grid.pairs.inverses)
+        eye = np.eye(gens[0].shape[-1])
+        _fold(acc, grid, check_braid_relations(gens, tol) + [
+            (f"inverse_b{i}", max_abs(b @ b_inv - eye))
+            for i, (b, b_inv) in enumerate(zip(gens, invs), start=1)
         ])
     return _grid_report(acc)
 

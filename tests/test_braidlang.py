@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ class TestParse:
 
     def test_render(self):
         assert render(parse("b1 b2^-1 b3^2")) == "b1 b2^-1 b3^2"
+
+    def test_exponent_beyond_the_int_digit_limit(self):
+        with pytest.raises(BraidSyntaxError, match="too many digits") as err:
+            parse("b1 b2^1" + "0" * 5000)
+        assert err.value.position == 3
 
 
 word_strategy = st.lists(
@@ -208,6 +214,31 @@ class TestEvaluateOnState:
     def test_bell_word_does_not_fold(self):
         with pytest.raises(DomainError, match="jones"):
             fold(parse("b1"), bell_representation(3))
+
+    @pytest.mark.parametrize("exponent", [2 ** 60 + 1, -(2 ** 60 + 1),
+                                          10 ** 400, -(10 ** 400) - 3],
+                             ids=["2^60+1", "-2^60-1", "10^400", "-10^400-3"])
+    def test_huge_bell_exponent_is_taken_mod_8(self, rng, exponent):
+        rep = bell_representation(3)
+        v = random_state(rng, 3)
+        out = evaluate_on_state(parse(f"b2^{exponent}"), rep, v)
+        assert np.array_equal(out, v if exponent % 8 == 0 else
+                              evaluate_on_state(parse(f"b2^{exponent % 8}"),
+                                                rep, v))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("text", ["b1^16777216", "b2^-1152921504606846977",
+                                      "b1 b2^" + "1" + "0" * 400],
+                             ids=["2^24", "-2^60-1", "10^400"])
+    def test_huge_jones_exponent_is_refused(self, text):
+        shape = RepShape(3, 2)
+        rep = jones_representation(tl_params(np.pi / 8), shape,
+                                   default_involution_spec(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow warning either
+            with pytest.raises(DomainError, match="unitarity") as err:
+                evaluate_on_state(parse(text), rep, basis_state("000"))
+        assert text[:40] in str(err.value)
 
     @pytest.mark.parametrize("family", ["jones", "bell"])
     def test_builds_no_dense_generator(self, rng, monkeypatch, family):

@@ -222,6 +222,28 @@ class TestApply:
         assert abs(amps[0] - S2) < 1e-13 and abs(amps[3] - S2) < 1e-13
 
     @pytest.mark.parametrize("rep_name", ["bell", "jones"])
+    @pytest.mark.parametrize("exponent", [1_000_001, 2 ** 60 + 1, 10 ** 400],
+                             ids=["10^6+1", "2^60+1", "10^400"])
+    def test_huge_exponent_keeps_the_norm_or_exits_2(self, capsys, tmp_path,
+                                                     rng, rep_name, exponent):
+        # binary powering of the jones pair drifts from unitarity with every
+        # squaring; the bell factor is R^(e mod 8)
+        text = f"b1^{exponent}"
+        ref = write_state(tmp_path, random_state(rng, 3))
+        code, out, err = run_cli(capsys, "apply", text, "--rep", rep_name,
+                                 "--state", ref, "--format", "json")
+        if rep_name == "jones" and exponent > 1_000_001:
+            assert code == 2 and out == ""
+            line, = err.splitlines()
+            error = json.loads(line)
+            assert error["error"] == "DomainError"
+            assert text[:40] in error["message"]
+        else:
+            assert code == 0 and err == ""
+            amps = np.array(json.loads(out)["state"]["amplitudes"])
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("rep_name", ["bell", "jones"])
     def test_beyond_the_dense_cap(self, capsys, tmp_path, rng, rep_name):
         # 14 qubits, v9 x |00000>, and a word that acts on qubits 1..9 only
         v9 = random_state(rng, 9)
@@ -556,6 +578,7 @@ class TestConfigAndOutput:
         (["entropy", "--state", "01a1"], None),
         (["generate", "ghz", "--n", "3", "--theta", "1e308"], None),
         (["verify", "ybe"], {"tol": -1}),
+        (["entropy", "--state", "00", "--cut", ""], None),
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -661,8 +684,8 @@ _JSON = st.recursive(
 
 
 def _must_refuse(argv) -> bool:
-    """Flags the command does not read, or a measurement of the only qubit
-    (or of no qubit): exit 2 whatever else is drawn."""
+    """Flags the command does not read, an empty --cut, or a measurement of
+    the only qubit (or of no qubit): exit 2 whatever else is drawn."""
     flags = dict(a.split("=", 1) for a in argv if a.startswith("--") and "=" in a)
     if argv[:2] == ["verify", "powers"] and "--n" in flags:
         return True
@@ -670,6 +693,8 @@ def _must_refuse(argv) -> bool:
         return True
     if argv[:2] in (["verify", "ybe"], ["generate", "ghz"]):
         return bool({"--k", "--s"} & set(flags))
+    if argv[0] == "entropy" and not flags.get("--cut", "1").strip(", "):
+        return True         # an empty qubit subset
     return (argv[0] == "entropy" and "--measure" in flags
             and len(flags["--state"].strip()) <= 1)
 
@@ -682,6 +707,7 @@ def _must_refuse(argv) -> bool:
 @example(argv=["verify", "cnot", "--theta=pi/6"], config=None)
 @example(argv=["generate", "ghz", "--n=3", "--k=3", "--s=h,h"], config=None)
 @example(argv=["entropy", "--state=0", "--measure=1"], config=None)
+@example(argv=["entropy", "--state=00", "--cut="], config=None)
 def test_fuzz_cli_exits_cleanly(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:

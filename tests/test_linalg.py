@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,40 @@ def test_kron_capacity_cap():
     big = np.eye(1 << 7)
     with pytest.raises(CapacityError):
         kron(kron(big, big), np.eye(4))
+
+
+def test_stacked_kron_all_matches_per_entry_kron_all(rng):
+    # (m, r, c) stacks, a shared (1, r, c) entry and a plain matrix
+    m = 5
+    factors = [rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2)),
+               rng.standard_normal((1, 3, 2)),
+               rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)),
+               rng.standard_normal((m, 2, 3))]
+    stacked = kron_all(*factors)
+    assert stacked.shape == (m, 24, 12)
+    for i in range(m):
+        entry = kron_all(*(f[min(i, len(f) - 1)] if f.ndim == 3 else f
+                           for f in factors))
+        assert np.array_equal(stacked[i], entry)
+    with pytest.raises(DimensionMismatchError):
+        kron_all(factors[0], np.ones((3, 2, 2)))
+
+
+def test_oversized_kron_stack_is_refused_before_allocating():
+    # 2^10 matrices of 2^12 x 2^12 entries: 256 GiB if built; the factors
+    # are broadcast views of one 2x2
+    slots = [np.broadcast_to(I2, (1 << 10, 2, 2))] * 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            kron_all(*slots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # two 2^12 x 2^12 matrices hold more entries than one capped matrix
+    with pytest.raises(CapacityError):
+        kron_all(np.ones((2, 1, 1)), np.broadcast_to(1.0, (1 << 12, 1 << 12)))
 
 
 def test_bell_matrix_inverse_is_adjoint():

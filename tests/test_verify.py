@@ -5,10 +5,10 @@ import pytest
 
 from tlbraid import (RelationCheck, RelationReport, RepShape,
                      check_tl_relations, dagger, jones_representation,
-                     kron_all, max_abs, tl_params, tl_projectors)
+                     max_abs, tl_params, tl_projectors)
 from tlbraid import verify
 from tlbraid.reports import ReportAccumulator
-from tlbraid.tla import involution_matrix, involution_spec
+from tlbraid.tla import involution_spec
 from tlbraid.verify import (GRID_INVOLUTIONS, GRID_PHIS, GRID_THETAS,
                             iter_grid, run_braid_suite, run_cnot_suite,
                             run_powers_suite, run_suite, run_tla_suite,
@@ -21,7 +21,9 @@ def test_grid_point_count():
     shapes = sum(n * 5 ** (n - 1) for n in range(1, 6))
     positions = []
     for grid in iter_grid():
-        assert len(grid.names) == len(grid.positions) == grid.E2.shape[0]
+        assert len(grid.names) == len(grid.positions)
+        for slot in grid.pairs.projectors[1].spec.slots:
+            assert slot.shape == (len(grid.names), 2, 2)
         positions.extend(grid.positions)
     assert sorted(positions) == list(
         range(shapes * len(GRID_THETAS) * len(GRID_PHIS)))
@@ -31,11 +33,12 @@ def test_grid_restriction():
     grids = list(iter_grid(thetas=(np.pi / 8,), phis=(0.0,), ns=(3,), ks=(2,),
                            involutions=("x",)))
     assert len(grids) == 1
-    p, shape, names, positions, E1, E2 = grids[0]
-    assert (p.theta, p.phi) == (np.pi / 8, 0.0)
-    assert shape == RepShape(3, 2) and list(names) == [("x", "x")]
+    names, positions, pairs = grids[0]
+    E1, E2 = pairs.projectors
+    assert (E2.params.theta, E2.params.phi) == (np.pi / 8, 0.0)
+    assert E2.shape == RepShape(3, 2) and list(names) == [("x", "x")]
     assert positions == range(1)
-    assert E1.shape == (8, 8) and E2.shape == (1, 8, 8)
+    assert E1.dense().shape == (8, 8) and E2.dense().shape == (1, 8, 8)
 
 
 def test_tla_suite_small_grid_matches_direct_checks():
@@ -58,13 +61,8 @@ def test_braid_suite_matches_representation_build():
     names = {c.name for c in report.checks}
     assert names == {"braid_b1b2b1", "unitary_b1", "unitary_b2",
                      "inverse_b1", "inverse_b2"}
-    # the inline generator assembly agrees with jones_representation
-    p = tl_params(np.pi / 8)
-    shape = RepShape(2, 2)
-    rep = jones_representation(p, shape, involution_spec(["y"]))
-    E1, E2 = tl_projectors(shape, p, involution_spec(["y"]))
-    eye = np.eye(4, dtype=complex)
-    assert max_abs(p.A * (p.d * E1) + eye / p.A - rep.generators[0]) == 0.0
+    # that the suite's generators are jones_representation's, point by
+    # point, is test_hoisted_assembly_matches_tl_projectors
 
 
 def test_ybe_suite():
@@ -105,46 +103,47 @@ def test_failure_aggregation_records_worst_point():
 
 
 def test_hoisted_assembly_matches_tl_projectors():
-    # every point of the n <= 4 grid: E1 exactly, E2 to rounding
+    # every point of the n <= 4 grid: the stacked pairs' matrices are the
+    # library's per-point operators exactly
     points = 0
     for grid in iter_grid(ns=(1, 2, 3, 4)):
-        for names, E2 in zip(grid.names, grid.E2, strict=True):
-            ref1, ref2 = tl_projectors(grid.shape, grid.params,
-                                       involution_spec(names))
-            assert max_abs(grid.E1 - ref1) == 0.0
-            assert max_abs(E2 - ref2) < 1e-15
+        E2 = grid.pairs.projectors[1]
+        m, dim = len(grid.names), 1 << E2.shape.n
+        stacks = {kind: [np.broadcast_to(op.dense(), (m, dim, dim))
+                         for op in getattr(grid.pairs, kind)]
+                  for kind in ("projectors", "generators", "inverses")}
+        for i, names in enumerate(grid.names):
+            spec = involution_spec(names)
+            rep = jones_representation(E2.params, E2.shape, spec)
+            refs = {"projectors": tl_projectors(E2.shape, E2.params, spec),
+                    "generators": rep.generators, "inverses": rep.inverses}
+            for kind, ref in refs.items():
+                for stack, ref_m in zip(stacks[kind], ref, strict=True):
+                    assert max_abs(stack[i] - ref_m) == 0.0
             points += 1
     assert points == sum(n * 5 ** (n - 1) for n in range(1, 5)) * 10
 
 
 def _reference_suites(ns, tol):
     """The per-point sweep the stacked suites replace: one point at a time
-    in n -> k -> names -> phi -> theta order, a strictly larger residual
-    taking the worst point."""
-    inv = {name: involution_matrix(name) for name in GRID_INVOLUTIONS}
+    in n -> k -> names -> phi -> theta order, built by `tl_projectors` and
+    `jones_representation`, a strictly larger residual taking the worst
+    point."""
     worst = {"tla": {}, "braid": {}}
     counts = {"tla": {}, "braid": {}}
     points = 0
     for n in ns:
-        dim = 1 << n
-        eye = np.eye(dim, dtype=np.complex128)
+        eye = np.eye(1 << n, dtype=np.complex128)
         for k in range(1, n + 1):
-            kth_bit = (np.arange(dim) >> (n - k)) & 1
-            E1 = np.diag((1 - kth_bit).astype(np.complex128))
+            shape = RepShape(n, k)
             for names in itertools.product(GRID_INVOLUTIONS, repeat=n - 1):
-                slots = [inv[name] for name in names]
+                spec = involution_spec(names)
                 for phi in GRID_PHIS:
-                    e3 = np.array([[0.0, np.exp(-1j * phi)],
-                                   [np.exp(1j * phi), 0.0]])
-                    chain = kron_all(*slots[:k - 1], e3, *slots[k - 1:])
                     for theta in GRID_THETAS:
                         p = tl_params(theta, phi)
-                        diag2 = np.where(kth_bit, p.b ** 2, p.a ** 2)
-                        E2 = np.diag(diag2.astype(np.complex128)) \
-                            + (p.a * p.b) * chain
-                        A = p.A
-                        h1, h2 = p.d * E1, p.d * E2
-                        b1, b2 = A * h1 + eye / A, A * h2 + eye / A
+                        E1, E2 = tl_projectors(shape, p, spec)
+                        rep = jones_representation(p, shape, spec)
+                        (b1, b2), (i1, i2) = rep.generators, rep.inverses
                         residuals = {
                             "tla": [(c.name, c.residual) for c in
                                     check_tl_relations(E1, E2, p, tol).checks],
@@ -153,10 +152,8 @@ def _reference_suites(ns, tol):
                                  max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2)),
                                 ("unitary_b1", max_abs(dagger(b1) @ b1 - eye)),
                                 ("unitary_b2", max_abs(dagger(b2) @ b2 - eye)),
-                                ("inverse_b1",
-                                 max_abs(b1 @ (h1 / A + A * eye) - eye)),
-                                ("inverse_b2",
-                                 max_abs(b2 @ (h2 / A + A * eye) - eye)),
+                                ("inverse_b1", max_abs(b1 @ i1 - eye)),
+                                ("inverse_b2", max_abs(b2 @ i2 - eye)),
                             ],
                         }
                         where = (f"theta={theta:.6g} phi={phi:.6g} n={n} "
