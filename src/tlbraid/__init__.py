@@ -18,19 +18,18 @@ from .entangle import (EntanglementReport, density_matrix, entanglement_report,
                        reduced_density, schmidt_rank, vn_entropy)
 from .errors import (BraidSyntaxError, CapacityError, DimensionMismatchError,
                      DomainError, TLBraidError, UnknownGateError)
-from .gates import gate, verify_cnot_decomposition, verify_psi_ghz_relation
+from .gates import gate
 from .linalg import (DENSE_CAP_DIM, apply_single_qubit, dagger, is_unitary,
-                     kron, kron_all, matrix_from_json, matrix_to_json,
-                     max_abs, norm, num_qubits, phase_equivalent,
+                     kron_all, max_abs, norm, num_qubits, phase_equivalent,
                      state_from_json, state_to_json)
 from .reports import RelationCheck, RelationReport
 from .states import (STRUCTURED_CAP_QUBITS, StructuredBraidOp, apply_structured,
                      basis_state, bits_to_index, cluster_family,
-                     cluster_like_state, conjugate_bits, ghz_state,
-                     index_to_bits, parse_bits, structured_braid_op)
-from .tla import (InvolutionSpec, JonesPairs, RepShape, TLParams,
-                  check_tl_relations, default_involution_spec,
-                  involution_matrix, involution_spec, jones_pairs,
-                  local_blocks, tl_params, tl_projectors)
+                     cluster_like_state, ghz_state, index_to_bits, parse_bits,
+                     structured_braid_op)
+from .tla import (JonesPairs, RepShape, TLParams, check_tl_relations,
+                  default_involution_spec, involution_matrix, involution_spec,
+                  jones_pairs, local_blocks, tl_params, tl_projectors)
+from .verify import verify_cnot_decomposition, verify_psi_ghz_relation
 
 __version__ = "0.1.0"

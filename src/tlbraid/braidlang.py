@@ -20,6 +20,7 @@ import numpy as np
 
 from .braidrep import BraidRepresentation, bell_matrix
 from .errors import BraidSyntaxError, DimensionMismatchError, DomainError
+from .linalg import dagger, max_abs
 from .states import apply_structured
 from .tla import StructuredBraidOp
 
@@ -83,13 +84,32 @@ def _check_compat(word: BraidWord, rep: BraidRepresentation) -> None:
         )
 
 
+def _too_long(word: BraidWord, verb: str, why) -> DomainError:
+    return DomainError(f"braid word {render(word)!r:.80} is too long to "
+                       f"{verb} within 1e-9 of unitarity: {why}")
+
+
 def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
-    """Left-to-right product of generator powers (binary powering)."""
+    """Left-to-right product of generator powers (binary powering).
+
+    A bell power is taken to |e| mod 8, exactly, since b_i^8 = I.  As in
+    `fold`, a product that deviates from unitarity by more than 1e-9, or
+    whose powers overflow first, is refused with a DomainError.
+    """
     _check_compat(word, rep)
     out = np.eye(rep.dim, dtype=np.complex128)
-    for index, exponent in word.factors:
-        g = rep.generators[index - 1] if exponent > 0 else rep.inverses[index - 1]
-        out = out @ np.linalg.matrix_power(g, abs(exponent))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for index, exponent in word.factors:
+                g = (rep.generators if exponent > 0
+                     else rep.inverses)[index - 1]
+                power = abs(exponent) if rep.pairs else abs(exponent) % 8
+                out = out @ np.linalg.matrix_power(g, power)
+            residual = max_abs(dagger(out) @ out - np.eye(rep.dim))
+    except FloatingPointError as exc:
+        raise _too_long(word, "evaluate", exc) from None
+    if not residual <= 1e-9:
+        raise _too_long(word, "evaluate", f"residual {residual:.3e}")
     return out
 
 
@@ -109,8 +129,7 @@ def fold(word: BraidWord, rep: BraidRepresentation) -> StructuredBraidOp:
                 for i, e in word.factors))
         op.require_unitary(1e-9)
     except (FloatingPointError, DomainError) as exc:
-        raise DomainError(f"braid word {render(word)!r:.80} is too long to "
-                          f"fold within 1e-9 of unitarity: {exc}") from None
+        raise _too_long(word, "fold", exc) from None
     return op
 
 

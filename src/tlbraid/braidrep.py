@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import dagger, kron, kron_all, matrix_to_json, max_abs
+from .linalg import dagger, kron_all, max_abs
 from .reports import RelationReport, report_or_residuals
-from .tla import InvolutionSpec, JonesPairs, RepShape, TLParams, jones_pairs
+from .tla import JonesPairs, RepShape, TLParams, jones_pairs
 
 _BELL = (1.0 / np.sqrt(2.0)) * np.array(
     [[1, 0, 0, -1],
@@ -39,20 +39,22 @@ def bell_matrix() -> np.ndarray:
 
 @dataclass(frozen=True)
 class BraidRepresentation:
-    family: str                 # "jones" | "bell"
     strands: int
     pairs: Optional[JonesPairs] = None      # jones only
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise DomainError(f"need at least 2 strands, got {self.strands}")
-        if self.family != ("jones" if self.pairs else "bell") or \
-                self.pairs and self.strands != 3:
-            raise DomainError("a jones representation holds its pairs and "
-                              "three strands, a bell one no pairs")
+        if self.strands < 2 or self.pairs and self.strands != 3:
+            raise DomainError(f"a {self.family} representation needs "
+                              f"{'3' if self.pairs else 'at least 2'} "
+                              f"strands, got {self.strands}")
         if self.pairs:
             for b in self.pairs.generators + self.pairs.inverses:
                 b.require_unitary()
+
+    @property
+    def family(self) -> str:
+        """jones exactly when it holds the pairs, else bell."""
+        return "jones" if self.pairs else "bell"
 
     @property
     def dim(self) -> int:
@@ -76,28 +78,20 @@ class BraidRepresentation:
             return tuple(b.dense() for b in self.pairs.inverses)
         return tuple(dagger(g) for g in self.generators)
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "strands": self.strands,
-            "generators": [matrix_to_json(g) for g in self.generators],
-            "inverses": [matrix_to_json(g) for g in self.inverses],
-        }
-
 
 def jones_representation(p: TLParams, shape: RepShape,
-                         spec: InvolutionSpec) -> BraidRepresentation:
+                         spec: tuple[np.ndarray, ...]) -> BraidRepresentation:
     """Three-strand representation b_i = A h_i + A^{-1} I, h_i = d E_i.
 
     The inverse is b_i^{-1} = A^{-1} h_i + A I; both are exact consequences
     of h_i^2 = d h_i.  Each is a pair of `jones_pairs`, checked unitary.
     """
-    return BraidRepresentation("jones", 3, jones_pairs(shape, p, spec))
+    return BraidRepresentation(3, jones_pairs(shape, p, spec))
 
 
 def bell_representation(m: int) -> BraidRepresentation:
     """m-strand tensor representation with the Bell matrix in slot (i, i+1)."""
-    return BraidRepresentation("bell", m)
+    return BraidRepresentation(m)
 
 
 def check_braid_relations(gens: Sequence[np.ndarray], tol: float = 1e-10):
@@ -134,8 +128,8 @@ def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:
     if r.shape != (4, 4):
         raise DimensionMismatchError(f"Yang-Baxter check needs a 4x4 matrix, got {r.shape}")
     eye = np.eye(2, dtype=np.complex128)
-    ri = kron(r, eye)
-    ir = kron(eye, r)
+    ri = kron_all(r, eye)
+    ir = kron_all(eye, r)
     residual = max_abs(ri @ ir @ ri - ir @ ri @ ir)
     return RelationReport.from_residuals([("yang_baxter", residual)], tol)
 

@@ -355,7 +355,7 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
             raise DomainError("generate cluster needs --n and --k")
         v = cluster_like_state(cfg.n, cfg.k, params=params)
         k = cfg.k
-    elif kind == "basis-superpose":
+    else:       # basis-superpose
         if state is None:
             raise DomainError("generate basis-superpose needs --state BITS")
         bits = parse_bits(state)
@@ -367,8 +367,6 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
         shape = RepShape(n=n, k=k)
         op = structured_braid_op(shape, params=params, spec=cfg.spec_for(shape))
         v = apply_structured(op, basis_state(bits), inverse=inverse)
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
     _emit(cfg, {"kind": kind}, [], v, _cut_reports(v, k, tol))
     return 0
 
@@ -382,11 +380,9 @@ def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
         shape = RepShape(n=n, k=cfg.k if cfg.k is not None else 1)
         rep = jones_representation(cfg.params(), shape, cfg.spec_for(shape))
         word = braidlang.parse(word_text, declared_strands=3)
-    elif rep_name == "bell":
+    else:       # bell
         rep = bell_representation(n)
         word = braidlang.parse(word_text, declared_strands=n)
-    else:
-        raise DomainError(f"unknown representation {rep_name!r}")
     out = braidlang.evaluate_on_state(word, rep, v)
     _emit(cfg, {"word": braidlang.render(word), "rep": rep_name}, [], out)
     return 0
@@ -480,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         if args.command == "verify":
@@ -490,16 +485,13 @@ def main(argv=None) -> int:
             return cmd_generate(cfg, args.kind, args.state, args.inverse)
         if args.command == "apply":
             return cmd_apply(cfg, args.word, args.state, args.rep)
-        if args.command == "entropy":
-            return cmd_entropy(cfg, args.state, args.cut, args.measure,
-                               args.outcome)
-        parser.error(f"unknown command {args.command}")
+        return cmd_entropy(cfg, args.state, args.cut, args.measure,
+                           args.outcome)
     except (TLBraidError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Named gate constants and the CNOT universality decomposition.
+"""Named gate constants, looked up case-insensitively by `gate`.
 
 CNOT convention: control = qubit 1 (most significant), target = qubit 2.
-The decomposition CNOT = (alpha x beta) B(2,1) (gamma x delta) holds
-exactly (no global phase) only under this convention, which is how it was
-pinned down.
+ALPHA..DELTA are the local unitaries of the decomposition
+CNOT = (alpha x beta) B(2,1) (gamma x delta) that
+`verify.verify_cnot_decomposition` checks; it holds exactly (no global
+phase) only under this convention, which is how it was pinned down.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownGateError
-from .linalg import kron, kron_all, max_abs
-from .reports import RelationReport
 
 _S2 = 1.0 / np.sqrt(2.0)
 
@@ -58,37 +57,3 @@ def gate(name: str) -> np.ndarray:
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownGateError(f"unknown gate {name!r}; known: {known}") from None
 
-
-def verify_cnot_decomposition(tol: float = 1e-12) -> RelationReport:
-    """Residual of CNOT - (alpha x beta) B(2,1) (gamma x delta).
-
-    The identity is exact at theta=pi/8, the default of
-    `structured_braid_op` (the decomposition's local unitaries are specific
-    to that B(2,1)); no phase freedom is allowed.
-    """
-    from .states import structured_braid_op
-    from .tla import RepShape
-
-    b21 = structured_braid_op(RepShape(n=2, k=1)).dense()
-    assembled = kron(ALPHA, BETA) @ b21 @ kron(GAMMA, DELTA)
-    residual = max_abs(assembled - CNOT)
-    return RelationReport.from_residuals(
-        [("cnot_decomposition", residual)], tol
-    )
-
-
-def verify_psi_ghz_relation(tol: float = 1e-13) -> RelationReport:
-    """Residual of b1 b2 |000> (Bell representation) minus (HxHxH)|GHZ3>."""
-    from .braidrep import bell_representation
-
-    rep = bell_representation(3)
-    v000 = np.zeros(8, dtype=np.complex128)
-    v000[0] = 1.0
-    psi = rep.generators[0] @ rep.generators[1] @ v000
-    ghz3 = np.zeros(8, dtype=np.complex128)
-    ghz3[0] = ghz3[7] = _S2
-    target = kron_all(HADAMARD, HADAMARD, HADAMARD) @ ghz3
-    residual = max_abs(psi - target)
-    return RelationReport.from_residuals(
-        [("psi_equals_hadamards_on_ghz", residual)], tol
-    )

@@ -14,9 +14,8 @@ Conventions used throughout the package:
     `tla.tl_projectors`); braid words act on states of any size up to the
     structured cap of `states` without them.
 
-JSON interchange: complex numbers are two-element [re, im] lists; matrices
-are {"rows", "cols", "entries"} with row-major entries; states are
-{"n_qubits", "amplitudes"}.
+JSON interchange: states are {"n_qubits", "amplitudes"}, each amplitude a
+two-element [re, im] list.
 """
 
 from __future__ import annotations
@@ -34,15 +33,6 @@ DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
 REPORT_TOL = 1e-10
 #: default tolerance for directly constructed identities
 EXACT_TOL = 1e-12
-
-
-def as_matrix(entries) -> np.ndarray:
-    """Validated 2-D complex matrix from nested sequences or an ndarray."""
-    m = np.array(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    require_finite(m)
-    return m
 
 
 def as_state(amplitudes) -> np.ndarray:
@@ -68,11 +58,6 @@ def num_qubits(v: np.ndarray) -> int:
     if v.ndim != 1 or size != 1 << n:
         raise DimensionMismatchError(f"not a qubit state of shape {v.shape}")
     return n
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two factors (see `kron_all`)."""
-    return kron_all(a, b)
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:
@@ -176,12 +161,6 @@ def phase_equivalent(u, v, mode: str = "global", tol: float = REPORT_TOL) -> boo
 
 # --- JSON interchange ------------------------------------------------------
 
-def _pairs_to_json(a: np.ndarray) -> list[list[float]]:
-    """Entries of a complex array in row-major order as [re, im] pairs."""
-    pairs = np.ascontiguousarray(a, np.complex128).view(np.float64)
-    return pairs.reshape(-1, 2).tolist()
-
-
 def _pairs_from_json(pairs) -> np.ndarray:
     """Complex vector from [[re, im], ...]; DomainError for anything else.
 
@@ -199,33 +178,11 @@ def _pairs_from_json(pairs) -> np.ndarray:
     return np.ascontiguousarray(a, np.float64).view(np.complex128).reshape(-1)
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": _pairs_to_json(m),
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, KeyError, ValueError, OverflowError):
-        raise DomainError('a matrix needs integer "rows" and "cols"') from None
-    entries = _pairs_from_json(obj.get("entries"))
-    if min(rows, cols) < 1 or entries.size != rows * cols:
-        raise DimensionMismatchError(
-            f"{entries.size} entries for a {rows}x{cols} matrix"
-        )
-    return as_matrix(entries.reshape(rows, cols))
-
-
 def state_to_json(v: np.ndarray) -> dict:
-    v = np.asarray(v, dtype=np.complex128)
+    v = np.ascontiguousarray(v, np.complex128)
     return {
         "n_qubits": num_qubits(v),
-        "amplitudes": _pairs_to_json(v),
+        "amplitudes": v.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

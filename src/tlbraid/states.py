@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, DimensionMismatchError, DomainError
-from .linalg import max_abs, num_qubits
-from .tla import (InvolutionSpec, RepShape, StructuredBraidOp, TLParams,
+from .linalg import DENSE_CAP_QUBITS, max_abs, num_qubits
+from .tla import (RepShape, StructuredBraidOp, TLParams,
                   default_involution_spec, jones_pairs, tl_params)
 
 STRUCTURED_CAP_QUBITS = 26      # 2^26 amplitudes ~ 1 GiB
@@ -45,11 +45,6 @@ def parse_bits(bits: Bits) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in out):
         raise DomainError(f"bits must be 0 or 1, got {out}")
     return out
-
-
-def conjugate_bits(bits: Bits) -> tuple[int, ...]:
-    """Flip every bit: |a_1...a_n> -> |abar_1...abar_n>."""
-    return tuple(1 - b for b in parse_bits(bits))
 
 
 def bits_to_index(bits: Bits) -> int:
@@ -89,7 +84,8 @@ def _monomial_parts(m2: np.ndarray):
 
 
 def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
-                        spec: Optional[InvolutionSpec] = None) -> StructuredBraidOp:
+                        spec: Optional[tuple[np.ndarray, ...]] = None
+                        ) -> StructuredBraidOp:
     """Build B(n,k) = b1 b2 as the product of the two generator pairs.
 
     Defaults: theta = pi/8 parameters and the identity-below / sigma1-above
@@ -131,7 +127,7 @@ def apply_structured(op: StructuredBraidOp, v: np.ndarray,
         op = op.dagger()
     p, q = op.diag_block, op.offdiag_block
 
-    factors = list(op.spec.slots[:k - 1]) + [q] + list(op.spec.slots[k - 1:])
+    factors = [*op.spec[:k - 1], q, *op.spec[k - 1:]]
     coeffs = _kernels.phase_vector(np.ones((n, 2)))
     flips, mixers = [], []
     for axis, m2 in enumerate(factors):
@@ -179,12 +175,12 @@ def cluster_family(n: int, k: int,
                    params: Optional[TLParams] = None) -> list[np.ndarray]:
     """B(n,k) B^-1(n,1) applied to every basis state: 2^n orthonormal states.
 
-    Dense-cap bound (n <= 12): the family as a whole is matrix-sized.
+    Dense-cap bound (n <= DENSE_CAP_QUBITS): the family as a whole is
+    matrix-sized.
     """
-    if n > 12:
-        raise CapacityError(
-            f"cluster family on {n} qubits stores 4^{n} amplitudes; capped at n=12"
-        )
+    if n > DENSE_CAP_QUBITS:
+        raise CapacityError(f"cluster family on {n} qubits stores 4^{n} "
+                            f"amplitudes; capped at n={DENSE_CAP_QUBITS}")
     if n < 2:
         raise DomainError(f"cluster-like states need n >= 2, got n={n}")
     op1 = structured_braid_op(RepShape(n=n, k=1), params=params)

@@ -119,22 +119,14 @@ def involution_matrix(spec) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
-    """The n-1 involutions on slots j != k, in ascending j order; each a
-    2x2, or an (m, 2, 2) stack standing for m dressings at once."""
-
-    slots: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.slots)
+def involution_spec(specs) -> tuple[np.ndarray, ...]:
+    """The n-1 involutions on slots j != k, in ascending j order, each
+    resolved by `involution_matrix`.  Operators also accept a tuple whose
+    entries are (m, 2, 2) stacks standing for m dressings at once."""
+    return tuple(involution_matrix(s) for s in specs)
 
 
-def involution_spec(specs) -> InvolutionSpec:
-    return InvolutionSpec(tuple(involution_matrix(s) for s in specs))
-
-
-def default_involution_spec(shape: RepShape) -> InvolutionSpec:
+def default_involution_spec(shape: RepShape) -> tuple[np.ndarray, ...]:
     """Conjugating-subclass dressing: identity below slot k, sigma_1 above.
 
     This is the choice that makes B(n,k) superimpose a basis state on its
@@ -167,7 +159,7 @@ class StructuredBraidOp:
 
     shape: RepShape
     params: TLParams
-    spec: InvolutionSpec
+    spec: tuple[np.ndarray, ...]   # s_j, j != k; see `involution_spec`
     diag_block: np.ndarray      # P, 2x2 diagonal
     offdiag_block: np.ndarray   # Q, 2x2 antidiagonal
 
@@ -178,7 +170,7 @@ class StructuredBraidOp:
 
     def __matmul__(self, other: "StructuredBraidOp") -> "StructuredBraidOp":
         if self.shape != other.shape or not all(
-                map(np.array_equal, self.spec.slots, other.spec.slots)):
+                map(np.array_equal, self.spec, other.spec)):
             raise DimensionMismatchError(
                 "operators on different slots or involution chains")
         p1, q1 = self.diag_block, self.offdiag_block
@@ -222,8 +214,8 @@ class StructuredBraidOp:
                             *ones * (n - k)).ravel()
         if not self.offdiag_block.any():
             return np.diag(diagonal)
-        slots = self.spec.slots
-        out = kron_all(*slots[:k - 1], self.offdiag_block, *slots[k - 1:])
+        s = self.spec
+        out = kron_all(*s[:k - 1], self.offdiag_block, *s[k - 1:])
         # the chain term is zero on the diagonal, since Q is
         out.reshape(out.shape[:-2] + (-1,))[..., ::(1 << n) + 1] += diagonal
         return out
@@ -236,7 +228,7 @@ class JonesPairs(NamedTuple):
 
 
 def jones_pairs(shape: RepShape, p: TLParams,
-                spec: InvolutionSpec) -> JonesPairs:
+                spec: tuple[np.ndarray, ...]) -> JonesPairs:
     """E_i, b_i = A d E_i + A^-1 I and b_i^-1 = A^-1 d E_i + A I as pairs.
 
     E1 = (e1, 0) and E2 = (e2, ab e3) with the blocks of `local_blocks`.
@@ -264,8 +256,8 @@ def jones_pairs(shape: RepShape, p: TLParams,
     )
 
 
-def tl_projectors(shape: RepShape, p: TLParams,
-                  spec: InvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
+def tl_projectors(shape: RepShape, p: TLParams, spec: tuple[np.ndarray, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian projector pair (E1, E2) on n qubits.
 
     E1 places e1 at slot k between identities; E2 adds the ab-weighted

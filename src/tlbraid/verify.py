@@ -24,11 +24,12 @@ import numpy as np
 from .braidrep import (bell_matrix, bell_representation, check_braid_relations,
                        check_yang_baxter, generator_power_identity,
                        jones_representation)
-from .gates import verify_cnot_decomposition, verify_psi_ghz_relation
 from .errors import DomainError
-from .linalg import DENSE_CAP_QUBITS, dagger, max_abs
+from .gates import ALPHA, BETA, CNOT, DELTA, GAMMA, HADAMARD
+from .linalg import DENSE_CAP_QUBITS, dagger, kron_all, max_abs
 from .reports import RelationReport, ReportAccumulator
-from .tla import (InvolutionSpec, JonesPairs, RepShape, check_tl_relations,
+from .states import structured_braid_op
+from .tla import (JonesPairs, RepShape, check_tl_relations,
                   default_involution_spec, involution_matrix, jones_pairs,
                   tl_params)
 
@@ -75,7 +76,7 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
     """Yield the product grid as stacked GridSlices.
 
     Each slice holds the `jones_pairs` of a chunk of involution
-    assignments at one (n, k, phi, theta): its spec's slots are stacks
+    assignments at one (n, k, phi, theta): its spec holds stacks
     (m, 2, 2) of the assignments' involutions, so `.dense()` of a pair
     is a stack of m matrices.  Qubit counts outside 1..12 and grids whose
     matrix work exceeds GRID_WORK_LIMIT are refused before anything is
@@ -108,8 +109,7 @@ def iter_grid(thetas: Optional[Sequence[float]] = None,
             c0 = 0      # index of the chunk's first involution assignment
             while block := list(itertools.islice(assignments, chunk)):
                 names = [tuple(involutions[i] for i in row) for row in block]
-                spec = InvolutionSpec(tuple(inv_stack[list(column)]
-                                            for column in zip(*block)))
+                spec = tuple(inv_stack[list(column)] for column in zip(*block))
                 for i_phi, by_theta in enumerate(params):
                     for i_theta, p in enumerate(by_theta):
                         at = first + (c0 * len(phis) + i_phi) * len(thetas) \
@@ -194,6 +194,36 @@ def run_powers_suite(theta: float = np.pi / 8, phi: float = 0.0,
     return RelationReport(
         checks=jrep.checks + brep.checks, tol=tol,
         applicable=jrep.applicable, note=jrep.note,
+    )
+
+
+def verify_cnot_decomposition(tol: float = 1e-12) -> RelationReport:
+    """Residual of CNOT - (alpha x beta) B(2,1) (gamma x delta).
+
+    The identity is exact at theta=pi/8, the default of
+    `structured_braid_op` (the decomposition's local unitaries are specific
+    to that B(2,1)); no phase freedom is allowed.
+    """
+    b21 = structured_braid_op(RepShape(n=2, k=1)).dense()
+    assembled = kron_all(ALPHA, BETA) @ b21 @ kron_all(GAMMA, DELTA)
+    residual = max_abs(assembled - CNOT)
+    return RelationReport.from_residuals(
+        [("cnot_decomposition", residual)], tol
+    )
+
+
+def verify_psi_ghz_relation(tol: float = 1e-13) -> RelationReport:
+    """Residual of b1 b2 |000> (Bell representation) minus (HxHxH)|GHZ3>."""
+    rep = bell_representation(3)
+    v000 = np.zeros(8, dtype=np.complex128)
+    v000[0] = 1.0
+    psi = rep.generators[0] @ rep.generators[1] @ v000
+    ghz3 = np.zeros(8, dtype=np.complex128)
+    ghz3[0] = ghz3[7] = 1.0 / np.sqrt(2.0)
+    target = kron_all(HADAMARD, HADAMARD, HADAMARD) @ ghz3
+    residual = max_abs(psi - target)
+    return RelationReport.from_residuals(
+        [("psi_equals_hadamards_on_ghz", residual)], tol
     )
 
 

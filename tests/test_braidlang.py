@@ -132,6 +132,29 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="b3"):
             evaluate(parse("b3"), rep)
 
+    @pytest.mark.parametrize("exponent", [2 ** 60 + 1, -(2 ** 60 + 1)],
+                             ids=["2^60+1", "-2^60-1"])
+    def test_huge_bell_exponent_is_taken_mod_8(self, exponent):
+        rep = bell_representation(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = evaluate(parse(f"b1^{exponent}"), rep)
+        small = parse("b1" if exponent > 0 else "b1^-1")
+        assert max_abs(m - evaluate(small, rep)) < 1e-15
+
+    @pytest.mark.parametrize("text", ["b1^1152921504606846977", "b1^16777216",
+                                      "b1^-1" + "0" * 400],
+                             ids=["2^60+1", "2^24", "-10^400"])
+    def test_huge_jones_exponent_is_refused(self, text):
+        shape = RepShape(2, 1)
+        rep = jones_representation(tl_params(np.pi / 8), shape,
+                                   default_involution_spec(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow warning either
+            with pytest.raises(DomainError, match="unitarity") as err:
+                evaluate(parse(text), rep)
+        assert text[:40] in str(err.value)
+
 
 class TestEvaluateOnState:
     @pytest.mark.parametrize("word", JONES_WORDS)

@@ -184,16 +184,15 @@ class TestRepresentationValidation:
         # the projector pairs E_i are not unitary generators
         pairs = jones_rep()[0].pairs
         with pytest.raises(DomainError, match="unitarity"):
-            BraidRepresentation("jones", 3, pairs._replace(
+            BraidRepresentation(3, pairs._replace(
                 generators=pairs.projectors))
 
     @pytest.mark.parametrize("family, strands, with_pairs", [
-        ("jones", 3, False), ("bell", 3, True), ("braid", 3, False),
         ("jones", 4, True)])
     def test_rejects_mismatched_definition(self, family, strands, with_pairs):
         pairs = jones_rep()[0].pairs if with_pairs else None
-        with pytest.raises(DomainError, match="pairs"):
-            BraidRepresentation(family, strands, pairs)
+        with pytest.raises(DomainError, match=f"a {family} representation"):
+            BraidRepresentation(strands, pairs)
 
     @pytest.mark.parametrize("theta,phi,names", [
         (np.pi / 8, 0.0, ("x", "x", "x")),
@@ -204,14 +203,3 @@ class TestRepresentationValidation:
         rep, _ = jones_rep(theta=theta, phi=phi, n=4, k=2, names=names)
         for g in rep.generators:
             assert is_unitary(g, 1e-12)
-
-    def test_json_export(self):
-        import json
-        from tlbraid import matrix_from_json
-        rep = bell_representation(2)
-        obj = json.loads(json.dumps(rep.to_json()))
-        assert obj["family"] == "bell" and obj["strands"] == 2
-        back = matrix_from_json(obj["generators"][0])
-        assert np.array_equal(back, bell_matrix())
-        inv = matrix_from_json(obj["inverses"][0])
-        assert max_abs(back @ inv - np.eye(4)) < 1e-15

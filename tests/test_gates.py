@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tlbraid import (UnknownGateError, gate, is_unitary, kron, max_abs,
+from tlbraid import (UnknownGateError, gate, is_unitary, kron_all, max_abs,
                      verify_cnot_decomposition, verify_psi_ghz_relation)
 from tlbraid.gates import (ALPHA, BETA, CNOT, DELTA, GAMMA, HADAMARD, PAULI_X,
                            PAULI_Y, PAULI_Z)
@@ -58,7 +58,8 @@ class TestCnotDecomposition:
                                    default_involution_spec(shape))
         b21 = rep.generators[0] @ rep.generators[1]
         # alpha replaced by I: decomposition broken
-        assembled = kron(np.eye(2, dtype=complex), BETA) @ b21 @ kron(GAMMA, DELTA)
+        assembled = (kron_all(np.eye(2, dtype=complex), BETA) @ b21
+                     @ kron_all(GAMMA, DELTA))
         assert max_abs(assembled - CNOT) > 0.1
 
     def test_decomposition_action_on_10(self):
@@ -68,7 +69,7 @@ class TestCnotDecomposition:
         rep = jones_representation(tl_params(np.pi / 8), shape,
                                    default_involution_spec(shape))
         b21 = rep.generators[0] @ rep.generators[1]
-        assembled = kron(ALPHA, BETA) @ b21 @ kron(GAMMA, DELTA)
+        assembled = kron_all(ALPHA, BETA) @ b21 @ kron_all(GAMMA, DELTA)
         assert max_abs(assembled @ basis_state("10") - basis_state("11")) < 1e-13
 
 
@@ -88,7 +89,7 @@ class TestPsiGhzRelation:
         assert max_abs(psi - expected) < 1e-14
 
     def test_tampered_target_fails(self):
-        from tlbraid import bell_representation, kron_all
+        from tlbraid import bell_representation
         rep = bell_representation(3)
         psi = rep.generators[0] @ rep.generators[1] @ basis_state("000")
         wrong = kron_all(HADAMARD, HADAMARD, HADAMARD) @ basis_state("000")

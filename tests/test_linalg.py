@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
-                     dagger, is_unitary, kron, kron_all,
-                     matrix_from_json, matrix_to_json, max_abs, norm,
+                     dagger, is_unitary, kron_all, max_abs, norm,
                      phase_equivalent, state_from_json, state_to_json)
 from tlbraid.braidrep import bell_matrix
 from tlbraid.gates import HADAMARD, PAULI_X
-from tlbraid.linalg import as_matrix, as_state
+from tlbraid.linalg import as_state
 
 from conftest import random_state, random_unitary
 
@@ -31,19 +30,19 @@ def kron_oracle(a, b):
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(kron_all(I2, I2), np.eye(4))
 
 
 def test_kron_double_bitflip():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
-    out = kron(PAULI_X, PAULI_X) @ v
+    out = kron_all(PAULI_X, PAULI_X) @ v
     assert np.array_equal(out, [0, 0, 0, 1])
 
 
 def test_kron_projector_slot_against_index_oracle():
     e1 = np.diag([1.0, 0.0]).astype(complex)
-    got = kron(e1, I2)
+    got = kron_all(e1, I2)
     assert np.array_equal(got, np.diag([1, 1, 0, 0]).astype(complex))
     assert np.array_equal(got, kron_oracle(e1, I2))
 
@@ -54,7 +53,7 @@ def test_kron_matches_oracle_random(rng):
     for _ in range(5):
         a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        assert max_abs(kron(a, b) - kron_oracle(a, b)) < 1e-14
+        assert max_abs(kron_all(a, b) - kron_oracle(a, b)) < 1e-14
 
 
 def test_kron_associative_exact_on_exact_entries(rng):
@@ -62,21 +61,24 @@ def test_kron_associative_exact_on_exact_entries(rng):
     pool = np.array([0, 1, -1, 0.5, -0.5, 1j, -1j, 2], dtype=complex)
     mats = [pool[rng.integers(0, len(pool), size=(2, 2))] for _ in range(3)]
     a, b, c = mats
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+    assert np.array_equal(kron_all(kron_all(a, b), c),
+                          kron_all(a, kron_all(b, c)))
 
 
 def test_kron_bilinear(rng):
     a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                for _ in range(3))
-    assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-14
-    assert max_abs(kron(a + b, c) - (kron(a, c) + kron(b, c))) < 1e-14
-    assert max_abs(kron(2.5 * a, c) - 2.5 * kron(a, c)) < 1e-14
+    assert max_abs(kron_all(kron_all(a, b), c)
+                   - kron_all(a, kron_all(b, c))) < 1e-14
+    assert max_abs(kron_all(a + b, c)
+                   - (kron_all(a, c) + kron_all(b, c))) < 1e-14
+    assert max_abs(kron_all(2.5 * a, c) - 2.5 * kron_all(a, c)) < 1e-14
 
 
 def test_kron_capacity_cap():
     big = np.eye(1 << 7)
     with pytest.raises(CapacityError):
-        kron(kron(big, big), np.eye(4))
+        kron_all(kron_all(big, big), np.eye(4))
 
 
 def test_stacked_kron_all_matches_per_entry_kron_all(rng):
@@ -195,25 +197,9 @@ def test_phase_equivalent_dim_mismatch():
 
 def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
-        as_matrix([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
         as_state([np.inf, 0])
     with pytest.raises(DimensionMismatchError):
         as_state([1, 0, 0])  # not a power of two
-
-
-def test_matrix_json_roundtrip(rng):
-    m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    obj = matrix_to_json(m)
-    assert obj["rows"] == 3 and obj["cols"] == 2
-    assert len(obj["entries"]) == 6
-    back = matrix_from_json(json.loads(json.dumps(obj)))
-    assert np.array_equal(back, m)
-
-
-def test_matrix_json_refuses_string_entries():
-    with pytest.raises(DomainError):
-        matrix_from_json({"rows": 1, "cols": 2, "entries": [["1", 0], [0, 0]]})
 
 
 def test_state_json_roundtrip(rng):

@@ -3,9 +3,9 @@ import pytest
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      RepShape, apply_structured, basis_state, bits_to_index,
-                     cluster_family, cluster_like_state, conjugate_bits,
-                     ghz_state, index_to_bits, jones_representation, max_abs,
-                     norm, parse_bits, phase_equivalent, structured_braid_op,
+                     cluster_family, cluster_like_state, ghz_state,
+                     index_to_bits, jones_representation, max_abs, norm,
+                     parse_bits, phase_equivalent, structured_braid_op,
                      tl_params)
 from tlbraid import _kernels
 from tlbraid.tla import default_involution_spec, involution_spec
@@ -35,15 +35,6 @@ class TestBits:
     def test_basis_state_111(self):
         assert bits_to_index("111") == 7
         assert basis_state("111")[7] == 1.0
-
-    def test_conjugate(self):
-        assert conjugate_bits("00") == (1, 1)
-        assert conjugate_bits("001") == (1, 1, 0)
-
-    def test_conjugate_is_involution(self, rng):
-        for _ in range(20):
-            bits = tuple(rng.integers(0, 2, size=rng.integers(1, 9)))
-            assert conjugate_bits(conjugate_bits(bits)) == bits
 
     def test_index_roundtrip(self):
         for n in (1, 3, 5):

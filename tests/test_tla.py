@@ -120,9 +120,9 @@ class TestInvolutions:
     def test_default_spec(self):
         spec = default_involution_spec(RepShape(4, 2))
         assert len(spec) == 3
-        assert np.array_equal(spec.slots[0], IDENTITY_2)
-        assert np.array_equal(spec.slots[1], PAULI_X)
-        assert np.array_equal(spec.slots[2], PAULI_X)
+        assert np.array_equal(spec[0], IDENTITY_2)
+        assert np.array_equal(spec[1], PAULI_X)
+        assert np.array_equal(spec[2], PAULI_X)
 
 
 class TestProjectors:

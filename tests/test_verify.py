@@ -22,7 +22,7 @@ def test_grid_point_count():
     positions = []
     for grid in iter_grid():
         assert len(grid.names) == len(grid.positions)
-        for slot in grid.pairs.projectors[1].spec.slots:
+        for slot in grid.pairs.projectors[1].spec:
             assert slot.shape == (len(grid.names), 2, 2)
         positions.extend(grid.positions)
     assert sorted(positions) == list(
