@@ -201,12 +201,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _state_text(v: np.ndarray) -> str:
     n = num_qubits(v)
-    lines = [f"# {n}-qubit state, nonzero amplitudes:"]
-    for idx in np.flatnonzero(np.abs(v) > 1e-14):
-        z = v[idx]
-        bits = f"{idx:0{n}b}" if n else ""
-        lines.append(f"|{bits}>  {z.real:.12g}{z.imag:+.12g}i")
-    return "\n".join(lines)
+    idx = np.flatnonzero(np.abs(v) > 1e-14)
+    z = v[idx]
+    line = f"|{{0:0{n}b}}>" if n else "|>"
+    lines = map((line + "  {1:.12g}{2:+.12g}i").format,
+                idx.tolist(), z.real.tolist(), z.imag.tolist())
+    return "\n".join([f"# {n}-qubit state, nonzero amplitudes:", *lines])
 
 
 def _report_text(name: str, report) -> str:
@@ -243,6 +243,20 @@ _AMPLITUDES = "\0amplitudes\0"
 #: payload["state"]["amplitudes"] sits.
 _IN_PAIR = ",\n        "
 _BETWEEN_PAIRS = "\n      ],\n      [\n        "
+#: The text of a zero pair, by its sign bits 2 * signbit(re) + signbit(im).
+_ZERO_PAIRS = tuple(_IN_PAIR.join(p) for p in
+                    (("0.0", "0.0"), ("0.0", "-0.0"),
+                     ("-0.0", "0.0"), ("-0.0", "-0.0")))
+
+
+def _pair_texts(pairs: np.ndarray) -> list:
+    """The JSON text of each [re, im] row of pairs: float.__repr__ of both
+    parts, or the shared _ZERO_PAIRS text when both are zero."""
+    texts = np.array(_ZERO_PAIRS, dtype=object)[np.signbit(pairs) @ [2, 1]]
+    nonzero = np.flatnonzero(pairs.any(axis=1))
+    reprs = map(float.__repr__, pairs[nonzero].ravel().tolist())
+    texts[nonzero] = list(map(_IN_PAIR.join, zip(reprs, reprs)))
+    return texts.tolist()
 
 
 def _write_json(fh, payload: dict, v: Optional[np.ndarray]) -> None:
@@ -257,14 +271,14 @@ def _write_json(fh, payload: dict, v: Optional[np.ndarray]) -> None:
         return
     require_finite(v)       # json would write NaN, which no reader accepts
     head, _, tail = text.partition(json.dumps(_AMPLITUDES))
-    flat = np.ascontiguousarray(v, np.complex128).view(np.float64)
+    pairs = np.ascontiguousarray(v, np.complex128).view(np.float64)
+    pairs = pairs.reshape(-1, 2)
     fh.write(head + "[\n      [\n        ")
-    for start in range(0, flat.size, 2 * _CHUNK_PAIRS):
+    for start in range(0, len(pairs), _CHUNK_PAIRS):
         if start:
             fh.write(_BETWEEN_PAIRS)
-        reprs = map(float.__repr__,
-                    flat[start:start + 2 * _CHUNK_PAIRS].tolist())
-        fh.write(_BETWEEN_PAIRS.join(map(_IN_PAIR.join, zip(reprs, reprs))))
+        fh.write(_BETWEEN_PAIRS.join(
+            _pair_texts(pairs[start:start + _CHUNK_PAIRS])))
     fh.write("\n      ]\n    ]" + tail)
 
 
@@ -305,13 +319,12 @@ def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
 def _cut_reports(v: np.ndarray, k: Optional[int], tol: float):
     """The {1..k-1} vs {k..n} cut (when k > 1) plus all single-qubit cuts."""
     n = num_qubits(v)
-    reports = []
-    if k is not None and 1 < k <= n and n > 1:
-        reports.append(entanglement_report(v, range(1, k), tol=tol))
+    cuts = [range(1, k)] if k is not None and 1 < k <= n else []
     if n > 1:
-        for q in range(1, n + 1):
-            reports.append(entanglement_report(v, [q], tol=tol))
-    return reports
+        cuts += [[q] for q in range(1, n + 1)]
+    support = np.flatnonzero(v)
+    return [entanglement_report(v, cut, tol=tol, support=support)
+            for cut in cuts]
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:

@@ -9,6 +9,7 @@ labels to keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -109,9 +110,31 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
     return prob, picked / np.sqrt(prob)
 
 
-def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Singular values of the amplitudes reshaped to a validated cut."""
-    m = _cut_matrix(v, keep)
+def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
+                          support: Optional[np.ndarray] = None) -> np.ndarray:
+    """Singular values of the amplitudes reshaped to a validated cut, less
+    zeros when v has a zero amplitude.
+
+    Such a state is cut on its support (np.flatnonzero(v), found here when
+    not given): rows and columns of the cut matrix without a nonzero
+    amplitude add only zero singular values, so the matrix restricted to the
+    others has the same nonzero ones.
+    """
+    if support is None:
+        support = np.flatnonzero(v)
+    if support.size == v.size:
+        m = _cut_matrix(v, keep)
+    else:
+        n = num_qubits(v)
+        bits = np.unravel_index(support, (2,) * n)
+        rest = [q for q in range(1, n + 1) if q not in keep]
+        (rows, at_row), (cols, at_col) = (
+            np.unique(np.ravel_multi_index([bits[q - 1] for q in side],
+                                           (2,) * len(side)),
+                      return_inverse=True)
+            for side in (keep, rest))
+        m = np.zeros((rows.size, cols.size), np.complex128)
+        m[at_row, at_col] = v[support]
     if m.shape[0] < m.shape[1]:
         # R of m^T = QR has m's singular values; an SVD of wide m is slower
         m = np.linalg.qr(m.T, mode="r")
@@ -159,11 +182,16 @@ class EntanglementReport:
         }
 
 
-def entanglement_report(v: np.ndarray, bipartition,
-                        tol: float = 1e-9) -> EntanglementReport:
-    """Entropy / Schmidt-rank report for one cut of a normalized pure state."""
+def entanglement_report(v: np.ndarray, bipartition, tol: float = 1e-9,
+                        support: Optional[np.ndarray] = None
+                        ) -> EntanglementReport:
+    """Entropy / Schmidt-rank report for one cut of a normalized pure state.
+
+    support, np.flatnonzero(v), may be passed to share it among the cuts of
+    one state.
+    """
     keep = _validate_subset(bipartition, num_qubits(v))
-    s = _schmidt_coefficients(v, keep)
+    s = _schmidt_coefficients(v, keep, support)
     lam = s * s
     if not abs(lam.sum() - 1.0) <= 1e-10:
         raise DomainError(f"state norm^2 {lam.sum():.6g} is not 1")

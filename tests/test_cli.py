@@ -356,6 +356,18 @@ class TestEntropy:
         assert json.loads(err)["error"] == "DomainError"
 
 
+    @pytest.mark.parametrize("cut", [[], ["--cut", "1"]])
+    def test_all_zero_state_exit_2(self, capsys, tmp_path, cut):
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes":
+                                    [[0.0, 0.0], [-0.0, 0.0], [0, 0], [0, -0.0]]}))
+        code, out, err = run_cli(capsys, "entropy", "--state", f"@{path}", *cut)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "DomainError" and "norm" in error["message"]
+
+
 class TestSizes:
     @pytest.mark.parametrize("argv", [
         ["verify", "tla", "--n", "-1"],
@@ -447,6 +459,30 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
         self.check(capsys, random_state(rng, 4))
 
+    @staticmethod
+    def sparse_state(rng, n, nonzero):
+        """Random [re, im] pairs at the pair indices `nonzero`; every other
+        pair is a zero pair with random sign bits."""
+        pairs = np.where(rng.random((1 << n, 2)) < 0.5, -0.0, 0.0)
+        pairs[nonzero] = rng.standard_normal((len(nonzero), 2))
+        return pairs.view(np.complex128).reshape(-1)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_signed_zero_pairs(self, capsys, rng, n):
+        v = self.sparse_state(rng, n, [0, (1 << n) - 1])
+        v[1:5] = np.array([0.0, -0.0, 0.0, -0.0]) + 1j * np.array(
+            [0.0, 0.0, -0.0, -0.0])
+        v[5] = complex(-0.0, 0.5)
+        self.check(capsys, v)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_zero_runs_across_chunks(self, capsys, monkeypatch, rng, chunk):
+        # pairs 0-15 dense, 16-31 zero: with 16 per chunk, a dense chunk
+        # beside an all-zero one; with 1 or 3, zero runs cross chunks
+        monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
+        v = self.sparse_state(rng, 6, [*range(16), 33, 40, 41, 47, 63])
+        self.check(capsys, v)
+
     def test_no_state(self, capsys):
         cli._emit(cli.RunConfig(format="json"), {"pass": True}, [])
         assert capsys.readouterr().out == '{\n  "pass": true\n}\n'
@@ -494,6 +530,36 @@ class TestJsonWriter:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+
+def per_amplitude_state_text(v):
+    """The text state render as a loop over the amplitudes."""
+    n = (len(v) - 1).bit_length()
+    lines = [f"# {n}-qubit state, nonzero amplitudes:"]
+    for idx in np.flatnonzero(np.abs(v) > 1e-14):
+        z = v[idx]
+        bits = f"{idx:0{n}b}" if n else ""
+        lines.append(f"|{bits}>  {z.real:.12g}{z.imag:+.12g}i")
+    return "\n".join(lines)
+
+
+class TestStateText:
+    @pytest.mark.parametrize("amplitudes", [
+        [1.0], [-1j], [complex(-0.0, -1.0)], [complex(0.6, -0.0)],
+        [0.0, -1.0], [1e-14, 1.0000000000001e-14, -1.5e-14, 1e-14j],
+        [complex(-0.0, 2e-14), complex(3e-14, -0.0), 9.9e-15 + 9.9e-15j,
+         0.1 + 0.2j],
+        [S2, 0, 0, -0.0, 0, 0, 0, -S2 + 1e-300j],
+    ])
+    def test_matches_the_per_amplitude_loop(self, amplitudes):
+        v = np.array(amplitudes, dtype=np.complex128)
+        assert cli._state_text(v) == per_amplitude_state_text(v)
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_random_states(self, rng, n):
+        v = random_state(rng, n)
+        v[rng.random(v.size) < 0.3] = 0
+        assert cli._state_text(v) == per_amplitude_state_text(v)
 
 
 class TestFlagContract:

@@ -235,6 +235,80 @@ class TestSchmidtRank:
                 assert report.is_product == (report.schmidt_rank == 1)
 
 
+def full_matrix_report(v, keep, tol=1e-9):
+    """Schmidt rank and entropy in bits from QR then SVD of the whole cut
+    matrix, zero rows and columns included."""
+    n = (len(v) - 1).bit_length()
+    rest = [q for q in range(1, n + 1) if q not in keep]
+    axes = [q - 1 for q in keep] + [q - 1 for q in rest]
+    m = v.reshape([2] * n).transpose(axes).reshape(1 << len(keep), -1)
+    if m.shape[0] < m.shape[1]:
+        m = np.linalg.qr(m.T, mode="r")
+    s = np.linalg.svd(m, compute_uv=False)
+    lam = s * s
+    lam = lam[lam > 1e-12] / lam[lam > 1e-12].sum()
+    return int(np.count_nonzero(s > tol)), float(-np.sum(lam * np.log2(lam)))
+
+
+class TestSupportCut:
+    """Cuts of a state with zero amplitudes are taken on its support."""
+
+    @staticmethod
+    def on_support(rng, n, support):
+        v = np.zeros(1 << n, dtype=complex)
+        v[support] = rng.standard_normal(len(support)) \
+            + 1j * rng.standard_normal(len(support))
+        return v / np.linalg.norm(v)
+
+    def check(self, v, keep):
+        keep = sorted(keep)
+        rank, entropy = full_matrix_report(v, keep)
+        report = entanglement_report(v, keep)
+        assert report.schmidt_rank == rank == schmidt_rank(v, keep)
+        assert report.is_product == (rank == 1)
+        assert abs(report.entropy_bits - entropy) <= 1e-14
+        assert entanglement_report(v, keep, support=np.flatnonzero(v)) == report
+
+    def test_random_supports(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            size = int(rng.integers(1, 1 << n))
+            v = self.on_support(rng, n, rng.choice(1 << n, size, replace=False))
+            keep = rng.choice(np.arange(1, n + 1), int(rng.integers(1, n)),
+                              replace=False)
+            self.check(v, keep)
+
+    def test_support_on_one_row_or_column(self, rng):
+        # qubits 2 and 5 fixed to 1, 0: one row of the {2, 5} cut, one
+        # column of the {1, 3, 4} cut
+        support = [i for i in range(32) if (i >> 3) & 1 and not i & 1]
+        v = self.on_support(rng, 5, support)
+        self.check(v, [2, 5])
+        self.check(v, [1, 3, 4])
+        assert entanglement_report(v, [2, 5]).schmidt_rank == 1
+
+    def test_product_cut(self, rng):
+        a = self.on_support(rng, 2, [1, 2])
+        b = self.on_support(rng, 3, [0, 5, 6])
+        v = np.kron(a, b)
+        self.check(v, [1, 2])
+        report = entanglement_report(v, [1, 2])
+        assert report.is_product and report.entropy_bits == 0.0
+        self.check(v, [2, 4])
+
+    def test_ghz_cuts_take_no_qr(self, monkeypatch):
+        v = ghz_state(12)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a QR of the 2^12-amplitude cut matrix")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        for cut in ([1], [12], [3, 7], range(1, 7)):
+            report = entanglement_report(v, cut)
+            assert report.schmidt_rank == 2
+            assert abs(report.entropy_bits - 1.0) <= 1e-14
+
+
 class TestLUEquivalence:
     def test_psi_vs_ghz_with_hadamards(self):
         assert lu_equivalent(psi_state(), ghz3(), [HADAMARD] * 3)
@@ -263,6 +337,13 @@ class TestNormalization:
         v = np.array([1, 0, 0, 1], dtype=complex)
         with pytest.raises(DomainError, match="norm"):
             entanglement_report(v, [1])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_state_refused(self, zero):
+        v = np.full(8, complex(zero, zero))
+        for cut in ([1], [2, 3]):
+            with pytest.raises(DomainError, match="norm"):
+                entanglement_report(v, cut)
 
     def test_cli_refuses_unnormalized_file(self, tmp_path, capsys):
         from tlbraid.cli import main
