@@ -249,7 +249,7 @@ _ZERO_PAIRS = tuple(_IN_PAIR.join(p) for p in
                      ("-0.0", "0.0"), ("-0.0", "-0.0")))
 
 
-def _pair_texts(pairs: np.ndarray) -> list:
+def _pair_texts(pairs: np.ndarray) -> list[str]:
     """The JSON text of each [re, im] row of pairs: float.__repr__ of both
     parts, or the shared _ZERO_PAIRS text when both are zero."""
     texts = np.array(_ZERO_PAIRS, dtype=object)[np.signbit(pairs) @ [2, 1]]

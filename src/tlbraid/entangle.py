@@ -4,6 +4,12 @@ Schmidt rank, and projective single-qubit measurement.
 Qubit labels are 1-based (qubit 1 = most significant index bit), matching
 the rest of the package.  Bipartitions are given as the subset of qubit
 labels to keep.
+
+A cut's Schmidt coefficients are the singular values of the amplitudes
+reshaped to (kept qubits) x (the rest).  For a state with zero amplitudes
+the matrix is restricted to the rows and columns that hold a nonzero one,
+so the cost follows the support rather than 2^n; a dense state keeps the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -112,13 +118,11 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
 
 def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
                           support: Optional[np.ndarray] = None) -> np.ndarray:
-    """Singular values of the amplitudes reshaped to a validated cut, less
-    zeros when v has a zero amplitude.
+    """Singular values of the amplitudes reshaped to a validated cut.
 
-    Such a state is cut on its support (np.flatnonzero(v), found here when
-    not given): rows and columns of the cut matrix without a nonzero
-    amplitude add only zero singular values, so the matrix restricted to the
-    others has the same nonzero ones.
+    When v has a zero amplitude, the matrix is restricted to the rows and
+    columns of its support (np.flatnonzero(v), found here when not given);
+    the others add only zero singular values, which are left out.
     """
     if support is None:
         support = np.flatnonzero(v)
