@@ -19,8 +19,8 @@ from .entangle import (EntanglementReport, density_matrix, entanglement_report,
 from .errors import (BraidSyntaxError, CapacityError, DimensionMismatchError,
                      DomainError, TLBraidError, UnknownGateError)
 from .gates import gate
-from .linalg import (DENSE_CAP_DIM, apply_single_qubit, dagger, is_unitary,
-                     kron_all, max_abs, norm, num_qubits, phase_equivalent,
+from .linalg import (DENSE_CAP_DIM, apply_single_qubit, dagger, kron_all,
+                     max_abs, norm, num_qubits, phase_equivalent,
                      state_from_json, state_to_json)
 from .reports import RelationCheck, RelationReport
 from .states import (STRUCTURED_CAP_QUBITS, StructuredBraidOp, apply_structured,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .braidrep import bell_representation, jones_representation
-from .entangle import entanglement_report, measure_qubit
+from .entangle import entanglement_report, measure_qubit, nonzero_support
 from .errors import DomainError, TLBraidError
 from .linalg import num_qubits, require_finite, state_from_json
 from .states import (apply_structured, basis_state, cluster_like_state,
@@ -135,20 +135,18 @@ def _fits(hint, value) -> bool:
 
 
 #: The RunConfig keys each command reads besides format and out, by verify
-#: suite, generate kind and apply representation; `verify all` reads the
-#: union of its suites' keys.  Any other key set by a flag or the config
-#: file is refused.
-_GRID = {"theta", "phi", "n", "k", "s", "tol"}
+#: suite (from the suite table), generate kind and apply representation,
+#: which are also the commands' choices; `verify all` reads the union of its
+#: suites' keys.  Any other key set by a flag or the config file is refused.
 _PARAMS = {"theta", "phi", "a_sign", "b_sign"}
-READS = {
-    "tla": _GRID, "braid": _GRID, "ybe": {"tol"},
-    "powers": {"theta", "phi", "tol"}, "cnot": {"tol"},
+_KINDS = {
     "ghz": _PARAMS | {"n", "tol"},
     "cluster": _PARAMS | {"n", "k", "tol"},
     "basis-superpose": _PARAMS | {"n", "k", "s", "tol"},
-    "jones": _PARAMS | {"n", "k", "s"}, "bell": {"n"},
-    "entropy": {"tol"},
 }
+_REPS = {"jones": _PARAMS | {"n", "k", "s"}, "bell": {"n"}}
+READS = {**{name: suite.reads for name, suite in verify_mod.SUITES.items()},
+         **_KINDS, **_REPS, "entropy": {"tol"}}
 
 
 def _reads(args: argparse.Namespace) -> tuple[str, set[str]]:
@@ -322,24 +320,13 @@ def _cut_reports(v: np.ndarray, k: Optional[int], tol: float):
     cuts = [range(1, k)] if k is not None and 1 < k <= n else []
     if n > 1:
         cuts += [[q] for q in range(1, n + 1)]
-    support = np.flatnonzero(v)
+    support = nonzero_support(v)
     return [entanglement_report(v, cut, tol=tol, support=support)
             for cut in cuts]
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    grid_kwargs = {}
-    if cfg.theta is not None:
-        grid_kwargs["thetas"] = (cfg.theta,)
-    if cfg.phi is not None:
-        grid_kwargs["phis"] = (cfg.phi,)
-    if cfg.n is not None:
-        grid_kwargs["ns"] = (cfg.n,)
-    if cfg.k is not None:
-        grid_kwargs["ks"] = (cfg.k,)
-    if cfg.s is not None:
-        grid_kwargs["involutions"] = tuple(cfg.s)
-    reports = verify_mod.run_suite(suite, tol=cfg.tol, **grid_kwargs)
+    reports = verify_mod.run_suite(suite, **vars(cfg))
     failures = [
         dict(suite=name, **c.to_json())
         for name, rep in reports.items() for c in rep.failures()
@@ -460,12 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a relation-check suite")
-    p_verify.add_argument("suite",
-                          choices=("tla", "braid", "ybe", "powers", "cnot", "all"))
+    p_verify.add_argument("suite", choices=[*verify_mod.SUITES, "all"])
 
     p_gen = sub.add_parser("generate", parents=[common],
                            help="generate GHZ / cluster-like / superposed states")
-    p_gen.add_argument("kind", choices=("ghz", "cluster", "basis-superpose"))
+    p_gen.add_argument("kind", choices=list(_KINDS))
     p_gen.add_argument("--state", default=None,
                        help="basis bits for basis-superpose, e.g. 0101")
     p_gen.add_argument("--inverse", action="store_true",
@@ -474,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", parents=[common],
                              help="apply a braid word to a state")
     p_apply.add_argument("word", help='braid word, e.g. "b1 b2^-1"')
-    p_apply.add_argument("--rep", choices=("jones", "bell"), default="jones")
+    p_apply.add_argument("--rep", choices=list(_REPS), default="jones")
     p_apply.add_argument("--state", required=True, help="BITS or @state.json")
 
     p_ent = sub.add_parser("entropy", parents=[common],

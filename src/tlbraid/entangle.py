@@ -116,17 +116,22 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
     return prob, picked / np.sqrt(prob)
 
 
+def nonzero_support(v: np.ndarray) -> Optional[np.ndarray]:
+    """np.flatnonzero(v), or None (and no index array) for a dense v."""
+    return np.flatnonzero(v) if np.count_nonzero(v) < v.size else None
+
+
 def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
                           support: Optional[np.ndarray] = None) -> np.ndarray:
     """Singular values of the amplitudes reshaped to a validated cut.
 
     When v has a zero amplitude, the matrix is restricted to the rows and
-    columns of its support (np.flatnonzero(v), found here when not given);
-    the others add only zero singular values, which are left out.
+    columns of its support (`nonzero_support(v)`, found here when not
+    given); the others add only zero singular values, which are left out.
     """
     if support is None:
-        support = np.flatnonzero(v)
-    if support.size == v.size:
+        support = nonzero_support(v)
+    if support is None or support.size == v.size:
         m = _cut_matrix(v, keep)
     else:
         n = num_qubits(v)
@@ -191,8 +196,8 @@ def entanglement_report(v: np.ndarray, bipartition, tol: float = 1e-9,
                         ) -> EntanglementReport:
     """Entropy / Schmidt-rank report for one cut of a normalized pure state.
 
-    support, np.flatnonzero(v), may be passed to share it among the cuts of
-    one state.
+    support, `nonzero_support(v)`, may be passed to share it among the cuts
+    of one state.
     """
     keep = _validate_subset(bipartition, num_qubits(v))
     s = _schmidt_coefficients(v, keep, support)

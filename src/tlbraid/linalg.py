@@ -29,11 +29,6 @@ from .errors import CapacityError, DimensionMismatchError, DomainError
 DENSE_CAP_QUBITS = 12
 DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
 
-#: default tolerance for verification reports
-REPORT_TOL = 1e-10
-#: default tolerance for directly constructed identities
-EXACT_TOL = 1e-12
-
 
 def as_state(amplitudes) -> np.ndarray:
     """Validated state vector: 1-D, complex, length a power of two."""
@@ -119,12 +114,6 @@ def max_abs(m: np.ndarray):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def is_unitary(m: np.ndarray, tol: float = EXACT_TOL) -> bool:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"unitarity check needs a square matrix, got {m.shape}")
-    return max_abs(dagger(m) @ m - np.eye(m.shape[0])) <= tol
-
-
 def _column_phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     """True iff u = c*v entrywise for some unit scalar c (zero pairs pass)."""
     ov = np.vdot(v, u)
@@ -134,7 +123,7 @@ def _column_phase_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     return max_abs(u - c * v) <= tol
 
 
-def phase_equivalent(u, v, mode: str = "global", tol: float = REPORT_TOL) -> bool:
+def phase_equivalent(u, v, mode: str = "global", tol: float = 1e-10) -> bool:
     """Phase-insensitive comparison of matrices or state vectors.
 
     global mode: vectors pass iff |<u|v>| = ||u|| ||v|| within tol;
@@ -190,10 +179,10 @@ def state_from_json(obj: dict) -> np.ndarray:
     """Decode {"n_qubits": n, "amplitudes": [[re, im], ...]}."""
     if not isinstance(obj, dict) or not {"n_qubits", "amplitudes"} <= obj.keys():
         raise DomainError('a state needs the keys "n_qubits" and "amplitudes"')
-    try:
-        n = int(obj["n_qubits"])
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("a state needs an integer n_qubits") from None
+    n = obj["n_qubits"]
+    if isinstance(n, bool) or not (isinstance(n, int) or
+                                   isinstance(n, float) and n.is_integer()):
+        raise DomainError("a state needs an integer n_qubits")
     v = as_state(_pairs_from_json(obj["amplitudes"]))
     if num_qubits(v) != n:
         raise DimensionMismatchError(

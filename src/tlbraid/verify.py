@@ -17,7 +17,7 @@ grid is refused before anything is built.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,28 +67,30 @@ class GridSlice(NamedTuple):
     pairs: JonesPairs                   # involution slots as (m, 2, 2) stacks
 
 
-def iter_grid(thetas: Optional[Sequence[float]] = None,
-              phis: Optional[Sequence[float]] = None,
-              ns: Optional[Sequence[int]] = None,
-              ks: Optional[Sequence[int]] = None,
-              involutions: Optional[Sequence[str]] = None,
+def _values(given, default):
+    """The range of a grid key: default if None, else (value,) or a tuple."""
+    return default if given is None else tuple(given) \
+        if isinstance(given, (list, tuple, range)) else (given,)
+
+
+def iter_grid(theta=None, phi=None, n=None, k=None, s=None,
               ) -> Iterator[GridSlice]:
     """Yield the product grid as stacked GridSlices.
 
-    Each slice holds the `jones_pairs` of a chunk of involution
-    assignments at one (n, k, phi, theta): its spec holds stacks
-    (m, 2, 2) of the assignments' involutions, so `.dense()` of a pair
-    is a stack of m matrices.  Qubit counts outside 1..12 and grids whose
-    matrix work exceeds GRID_WORK_LIMIT are refused before anything is
-    built.
+    theta, phi, n, k and s (involution names), as in a run config, each
+    restrict the standard grid to one value or a sequence of values.  Each
+    slice holds the `jones_pairs` of a chunk of involution assignments at
+    one (n, k, phi, theta): its spec holds stacks (m, 2, 2), so `.dense()`
+    of a pair is a stack of m matrices.  Qubit counts outside 1..12 and
+    grids whose matrix work exceeds GRID_WORK_LIMIT are refused before
+    anything is built.
     """
-    thetas = GRID_THETAS if thetas is None else tuple(thetas)
-    phis = GRID_PHIS if phis is None else tuple(phis)
-    ns = GRID_NS if ns is None else tuple(ns)
+    thetas, phis = _values(theta, GRID_THETAS), _values(phi, GRID_PHIS)
+    ns, ks = _values(n, GRID_NS), _values(k, None)
+    involutions = _values(s, GRID_INVOLUTIONS)
     if not all(1 <= n <= DENSE_CAP_QUBITS for n in ns):
         raise DomainError(
             f"grid qubit counts must lie in 1..{DENSE_CAP_QUBITS}, got {ns}")
-    involutions = GRID_INVOLUTIONS if involutions is None else tuple(involutions)
     work = _grid_work(thetas, phis, ns, ks, involutions)
     if work > GRID_WORK_LIMIT:
         raise DomainError(
@@ -150,20 +152,22 @@ def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
     acc.add_point(len(names))
 
 
-def run_tla_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
-    """Temperley-Lieb relations (projector and h-form) across the grid."""
+def run_tla_suite(tol: float, **keys) -> RelationReport:
+    """Temperley-Lieb relations (projector and h-form) across the grid,
+    restricted by the `iter_grid` keys given."""
     acc = ReportAccumulator(tol)
-    for grid in iter_grid(**grid_kwargs):
+    for grid in iter_grid(**keys):
         E1, E2 = _stacks(grid.pairs.projectors)
         p = grid.pairs.projectors[0].params
         _fold(acc, grid, check_tl_relations(E1, E2, p, tol))
     return _grid_report(acc)
 
 
-def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
-    """Braid relation, unitarity, and inverse checks across the grid."""
+def run_braid_suite(tol: float, **keys) -> RelationReport:
+    """Braid relation, unitarity, and inverse checks across the grid,
+    restricted by the `iter_grid` keys given."""
     acc = ReportAccumulator(tol)
-    for grid in iter_grid(**grid_kwargs):
+    for grid in iter_grid(**keys):
         gens = _stacks(grid.pairs.generators)
         invs = _stacks(grid.pairs.inverses)
         eye = np.eye(gens[0].shape[-1])
@@ -174,94 +178,89 @@ def run_braid_suite(tol: float = 1e-10, **grid_kwargs) -> RelationReport:
     return _grid_report(acc)
 
 
-def run_ybe_suite(tol: float = 1e-14) -> RelationReport:
+def run_ybe_suite(tol: float) -> RelationReport:
     """Yang-Baxter equation and unitarity for the Bell matrix."""
     r = bell_matrix()
-    checks = list(check_yang_baxter(r, tol).checks)
-    unitary = max_abs(dagger(r) @ r - np.eye(4))
-    report = RelationReport.from_residuals([("bell_matrix_unitary", unitary)], tol)
-    return RelationReport(checks=tuple(checks) + report.checks, tol=tol)
+    return RelationReport.from_residuals(
+        [(c.name, c.residual) for c in check_yang_baxter(r, tol).checks]
+        + [("bell_matrix_unitary", max_abs(dagger(r) @ r - np.eye(4)))], tol)
 
 
-def run_powers_suite(theta: float = np.pi / 8, phi: float = 0.0,
-                     tol: float = 1e-10) -> RelationReport:
-    """Non-faithfulness power identities for both families."""
-    p = tl_params(theta, phi)
+def run_powers_suite(tol: float, theta: float = np.pi / 8,
+                     phi: float = 0.0) -> RelationReport:
+    """Non-faithfulness power identities for both families.  Where A is no
+    root of unity the Jones identity is skipped, and the note says so."""
     shape = RepShape(n=2, k=1)
-    jones = jones_representation(p, shape, default_involution_spec(shape))
-    jrep = generator_power_identity(jones, tol)
+    jrep = generator_power_identity(jones_representation(
+        tl_params(theta, phi), shape, default_involution_spec(shape)), tol)
     brep = generator_power_identity(bell_representation(3), tol)
-    return RelationReport(
-        checks=jrep.checks + brep.checks, tol=tol,
-        applicable=jrep.applicable, note=jrep.note,
-    )
+    note = jrep.note if jrep.applicable else \
+        f"Jones power identity skipped: {jrep.note}"
+    return RelationReport(jrep.checks + brep.checks, tol, note=note)
 
 
-def verify_cnot_decomposition(tol: float = 1e-12) -> RelationReport:
-    """Residual of CNOT - (alpha x beta) B(2,1) (gamma x delta).
-
-    The identity is exact at theta=pi/8, the default of
-    `structured_braid_op` (the decomposition's local unitaries are specific
-    to that B(2,1)); no phase freedom is allowed.
+def verify_cnot_decomposition(tol: float) -> RelationReport:
+    """Residual of CNOT - (alpha x beta) B(2,1) (gamma x delta), with no
+    phase freedom.  It is exact at theta = pi/8, the default of
+    `structured_braid_op`: the local unitaries are specific to that B(2,1).
     """
     b21 = structured_braid_op(RepShape(n=2, k=1)).dense()
     assembled = kron_all(ALPHA, BETA) @ b21 @ kron_all(GAMMA, DELTA)
-    residual = max_abs(assembled - CNOT)
     return RelationReport.from_residuals(
-        [("cnot_decomposition", residual)], tol
-    )
+        [("cnot_decomposition", max_abs(assembled - CNOT))], tol)
 
 
-def verify_psi_ghz_relation(tol: float = 1e-13) -> RelationReport:
+def verify_psi_ghz_relation(tol: float) -> RelationReport:
     """Residual of b1 b2 |000> (Bell representation) minus (HxHxH)|GHZ3>."""
-    rep = bell_representation(3)
-    v000 = np.zeros(8, dtype=np.complex128)
-    v000[0] = 1.0
-    psi = rep.generators[0] @ rep.generators[1] @ v000
+    b1, b2 = bell_representation(3).generators
+    psi = b1 @ b2[:, 0]                 # b2 |000> is b2's first column
     ghz3 = np.zeros(8, dtype=np.complex128)
-    ghz3[0] = ghz3[7] = 1.0 / np.sqrt(2.0)
+    ghz3[[0, 7]] = 1.0 / np.sqrt(2.0)
     target = kron_all(HADAMARD, HADAMARD, HADAMARD) @ ghz3
-    residual = max_abs(psi - target)
     return RelationReport.from_residuals(
-        [("psi_equals_hadamards_on_ghz", residual)], tol
-    )
+        [("psi_equals_hadamards_on_ghz", max_abs(psi - target))], tol)
 
 
-def run_cnot_suite(tol: Optional[float] = None) -> RelationReport:
-    """Gate-level identities: CNOT decomposition and psi = H^3 |GHZ3>,
-    both at tol when given, else at 1e-12 and 1e-13.  The decomposition
-    is checked at theta = pi/8, the only angle where it is exact."""
-    dec_tol, psi_tol = (1e-12, 1e-13) if tol is None else (tol, tol)
-    dec = verify_cnot_decomposition(tol=dec_tol)
-    psi = verify_psi_ghz_relation(tol=psi_tol)
-    return RelationReport(checks=dec.checks + psi.checks, tol=dec_tol,
-                          note=f"psi-ghz relation checked at {psi_tol:g}")
+def run_cnot_suite(tol: float) -> RelationReport:
+    """Gate-level identities: the CNOT decomposition, checked at theta =
+    pi/8 where it is exact, and psi = H^3 |GHZ3>."""
+    return RelationReport(checks=verify_cnot_decomposition(tol).checks
+                          + verify_psi_ghz_relation(tol).checks, tol=tol)
 
 
-SUITES = ("tla", "braid", "ybe", "powers", "cnot")
+class Suite(NamedTuple):
+    """A verify suite: the run-config keys it reads and its default tol.
+    Suite NAME runs `run_NAME_suite`, looked up by name at each run, so a
+    wrapper bound to that name (a tracer's) sees the call."""
+
+    reads: set[str]
+    tol: float
 
 
-def run_suite(name: str, tol: Optional[float] = None,
-              **grid_kwargs) -> dict[str, RelationReport]:
-    """Run one named suite (or "all"); returns {suite_name: report}."""
-    names: Iterable[str] = SUITES if name == "all" else (name,)
+_GRID = {"theta", "phi", "n", "k", "s", "tol"}
+#: The verify suites, in the order `run_suite("all")` runs them.
+SUITES = {
+    "tla": Suite(_GRID, 1e-10),
+    "braid": Suite(_GRID, 1e-10),
+    "ybe": Suite({"tol"}, 1e-14),
+    "powers": Suite({"theta", "phi", "tol"}, 1e-10),
+    "cnot": Suite({"tol"}, 1e-13),
+}
+
+
+def run_suite(name: str, **config) -> dict[str, RelationReport]:
+    """Run one named suite, or "all" of SUITES; returns {suite name: report}.
+
+    config holds run-config values by key, None where not set; each suite
+    is given the ones it reads, and its default tol when tol is not set.
+    """
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{', '.join(SUITES)} or all")
     out = {}
-    default = 1e-10 if tol is None else tol
-    for suite in names:
-        if suite == "tla":
-            out[suite] = run_tla_suite(tol=default, **grid_kwargs)
-        elif suite == "braid":
-            out[suite] = run_braid_suite(tol=default, **grid_kwargs)
-        elif suite == "ybe":
-            out[suite] = run_ybe_suite(tol=1e-14 if tol is None else tol)
-        elif suite == "powers":
-            thetas = grid_kwargs.get("thetas") or (np.pi / 8,)
-            phis = grid_kwargs.get("phis") or (0.0,)
-            out[suite] = run_powers_suite(theta=thetas[0], phi=phis[0],
-                                          tol=default)
-        elif suite == "cnot":
-            out[suite] = run_cnot_suite(tol=tol)
-        else:
-            raise ValueError(f"unknown suite {name!r}; choose from "
-                             f"{', '.join(SUITES)} or all")
+    for suite, (reads, tol) in SUITES.items():
+        if name in (suite, "all"):
+            args = {"tol": tol} | {key: config[key] for key in reads
+                                   if config.get(key) is not None}
+            out[suite] = globals()[f"run_{suite}_suite"](**args)
     return out

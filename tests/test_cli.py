@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -94,6 +95,17 @@ class TestVerify:
         assert "16" in rep["note"]
         names = {r["relation_name"] for r in rep["relations"]}
         assert "b1^16_eq_I" in names and "R8_eq_I" in names
+
+    def test_powers_without_a_root_of_unity(self, capsys):
+        # A is no root of unity at theta = 0.3: the Bell identities still
+        # run, so the report applies, and the note says what was skipped
+        code, obj, _ = run_json(capsys, "verify", "powers", "--theta", "0.3")
+        assert code == 0
+        rep = obj["reports"]["powers"]
+        assert rep["pass"] and "applicable" not in rep
+        assert "Jones power identity skipped" in rep["note"]
+        assert {r["relation_name"] for r in rep["relations"]} == {
+            "R8_eq_I", "b1^8_eq_I", "b2^8_eq_I"}
 
     def test_ybe_defaults(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "ybe")
@@ -347,6 +359,9 @@ class TestEntropy:
         [[1, 0], [0, 0]],
         {"n_qubits": 1, "amplitudes": [[10 ** 400, 0], [0, 0]]},
         {"n_qubits": 1, "amplitudes": [["1", 0], [0, 0]]},
+        {"n_qubits": True, "amplitudes": [[1, 0], [0, 0]]},
+        {"n_qubits": "1", "amplitudes": [[1, 0], [0, 0]]},
+        {"n_qubits": 1.9, "amplitudes": [[1, 0], [0, 0]]},
     ])
     def test_malformed_state_file_exit_2(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -355,6 +370,21 @@ class TestEntropy:
         assert code == 2
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("cut", [None, [2, 3]])
+    def test_dense_cut_reports_build_no_index_array(self, rng, cut):
+        # a dense state's cut is one copy of it in the cut matrix; an index
+        # array of its support would add another half of the state
+        v = random_state(rng, 16)
+        tracemalloc.start()
+        try:
+            if cut is None:
+                cli._cut_reports(v, None, 1e-9)
+            else:
+                cli.entanglement_report(v, cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * v.nbytes
 
     @pytest.mark.parametrize("cut", [[], ["--cut", "1"]])
     def test_all_zero_state_exit_2(self, capsys, tmp_path, cut):
@@ -441,7 +471,12 @@ class TestJsonWriter:
         want = dict(fields, state=state_to_json(v))
         if reports is not None:
             want["entanglement"] = [r.to_json() for r in reports]
-        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        out, want = capsys.readouterr().out, json.dumps(want, indent=2) + "\n"
+        if out != want:     # a diff of the whole texts is too slow to show
+            at = len(os.path.commonprefix([out, want]))
+            context = slice(max(at - 60, 0), at + 60)
+            pytest.fail(f"output differs from offset {at} of {len(want)}: "
+                        f"{out[context]!r} != {want[context]!r}")
 
     def test_edge_floats(self, capsys):
         floats = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1 + 0.2, -5e-324,

@@ -30,8 +30,7 @@ def test_grid_point_count():
 
 
 def test_grid_restriction():
-    grids = list(iter_grid(thetas=(np.pi / 8,), phis=(0.0,), ns=(3,), ks=(2,),
-                           involutions=("x",)))
+    grids = list(iter_grid(theta=np.pi / 8, phi=0.0, n=3, k=2, s=["x"]))
     assert len(grids) == 1
     names, positions, pairs = grids[0]
     E1, E2 = pairs.projectors
@@ -42,7 +41,7 @@ def test_grid_restriction():
 
 
 def test_tla_suite_small_grid_matches_direct_checks():
-    report = run_tla_suite(ns=(1, 2), involutions=("x", "h"))
+    report = run_tla_suite(1e-10, n=(1, 2), s=("x", "h"))
     assert report.passed
     # aggregated max must dominate any directly computed point
     p = tl_params(np.pi / 8, 0.0)
@@ -56,7 +55,7 @@ def test_tla_suite_small_grid_matches_direct_checks():
 
 
 def test_braid_suite_matches_representation_build():
-    report = run_braid_suite(ns=(2,), involutions=("y",))
+    report = run_braid_suite(1e-10, n=2, s=("y",))
     assert report.passed
     names = {c.name for c in report.checks}
     assert names == {"braid_b1b2b1", "unitary_b1", "unitary_b2",
@@ -66,19 +65,19 @@ def test_braid_suite_matches_representation_build():
 
 
 def test_ybe_suite():
-    report = run_ybe_suite()
+    report = run_ybe_suite(1e-14)
     assert report.passed
     assert {c.name for c in report.checks} == {"yang_baxter",
                                                "bell_matrix_unitary"}
 
 
 def test_powers_suite_reports_order():
-    report = run_powers_suite()
+    report = run_powers_suite(1e-10)
     assert report.passed and "16" in report.note
 
 
 def test_cnot_suite():
-    report = run_cnot_suite()
+    report = run_cnot_suite(1e-13)
     assert report.passed
 
 
@@ -94,9 +93,21 @@ def test_run_suite_dispatch():
         run_suite("bogus")
 
 
+def test_run_suite_follows_the_table():
+    # "all" runs the table in order, each suite at its default tol and
+    # given only the keys it reads: ybe and cnot ignore the grid keys
+    out = run_suite("all", theta=np.pi / 6, n=1, s=["x"], a_sign=-1,
+                    format="json")
+    assert list(out) == list(verify.SUITES)
+    for name, report in out.items():
+        assert report.tol == verify.SUITES[name].tol
+    assert out["cnot"].tol == 1e-13 and not out["cnot"].note
+    assert out["tla"].note == "2 grid points"     # one theta, two phis
+
+
 def test_failure_aggregation_records_worst_point():
     # an inadmissible tolerance forces failures with located worst points
-    report = run_tla_suite(tol=1e-20, ns=(1,))
+    report = run_tla_suite(tol=1e-20, n=1)
     assert not report.passed
     worst = report.failures()[0]
     assert "theta=" in worst.worst_at
@@ -106,7 +117,7 @@ def test_hoisted_assembly_matches_tl_projectors():
     # every point of the n <= 4 grid: the stacked pairs' matrices are the
     # library's per-point operators exactly
     points = 0
-    for grid in iter_grid(ns=(1, 2, 3, 4)):
+    for grid in iter_grid(n=(1, 2, 3, 4)):
         E2 = grid.pairs.projectors[1]
         m, dim = len(grid.names), 1 << E2.shape.n
         stacks = {kind: [np.broadcast_to(op.dense(), (m, dim, dim))
@@ -187,8 +198,8 @@ def test_stacked_suites_match_the_per_point_sweep(monkeypatch, tol,
         monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", chunk_bytes)
     ns = (1, 2, 3)
     ref = _reference_suites(ns, tol)
-    stacked = {"tla": run_tla_suite(tol=tol, ns=ns),
-               "braid": run_braid_suite(tol=tol, ns=ns)}
+    stacked = {"tla": run_tla_suite(tol=tol, n=ns),
+               "braid": run_braid_suite(tol=tol, n=ns)}
     for suite in ref:
         assert stacked[suite].to_json() == ref[suite].to_json()
     if tol == 1e-20:
@@ -215,14 +226,14 @@ def test_accumulator_ties_go_to_the_earliest_position():
 
 
 def test_zero_residual_relation_keeps_the_first_grid_point():
-    report = run_tla_suite(ns=(2, 3))
+    report = run_tla_suite(1e-10, n=(2, 3))
     check = {c.name: c for c in report.checks}["E1_idempotent"]
     assert check.residual == 0.0
     assert check.worst_at == "theta=0.392699 phi=0 n=2 k=1 s=i"
 
 
 def test_run_suite_keeps_a_zero_tol():
-    for name, report in run_suite("all", tol=0.0, ns=(1,)).items():
+    for name, report in run_suite("all", tol=0.0, n=1).items():
         assert report.tol == 0.0
 
 
