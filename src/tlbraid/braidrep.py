@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import dagger, kron_all, max_abs
-from .reports import RelationReport, report_or_residuals
+from .reports import RelationReport
 from .tla import JonesPairs, RepShape, TLParams, jones_pairs
 
 _BELL = (1.0 / np.sqrt(2.0)) * np.array(
@@ -94,13 +94,10 @@ def bell_representation(m: int) -> BraidRepresentation:
     return BraidRepresentation(m)
 
 
-def check_braid_relations(gens: Sequence[np.ndarray], tol: float = 1e-10):
-    """Residuals of all far-commutation and adjacent braid relations.
-
-    Matrices give a RelationReport.  Stacks (..., dim, dim) that broadcast
-    against each other give the (name, residual array) pairs of
-    `reports.report_or_residuals`, one residual per stacked point.
-    """
+def check_braid_relations(gens: Sequence[np.ndarray]):
+    """(name, residual) pairs of the adjacent braid, far-commutation and
+    unitarity relations: a float each for matrices, an array of one per
+    stacked point for stacks (..., dim, dim) that broadcast together."""
     named = []
     for i in range(len(gens) - 1):
         bi, bj = gens[i], gens[i + 1]
@@ -119,8 +116,7 @@ def check_braid_relations(gens: Sequence[np.ndarray], tol: float = 1e-10):
             f"unitary_b{i}",
             max_abs(dagger(g) @ g - np.eye(g.shape[-1])),
         ))
-    batch = np.broadcast_shapes(*(g.shape[:-2] for g in gens))
-    return report_or_residuals(named, tol, batch)
+    return named
 
 
 def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:

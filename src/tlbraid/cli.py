@@ -28,7 +28,7 @@ from . import verify as verify_mod
 from .braidrep import bell_representation, jones_representation
 from .entangle import entanglement_report, measure_qubit, nonzero_support
 from .errors import DomainError, TLBraidError
-from .linalg import num_qubits, require_finite, state_from_json
+from .linalg import num_qubits, state_from_json, state_to_json
 from .states import (apply_structured, basis_state, cluster_like_state,
                      ghz_state, parse_bits, structured_braid_op)
 from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
@@ -233,53 +233,6 @@ def _entanglement_text(reports) -> str:
     return "\n".join(lines)
 
 
-#: Amplitude pairs formatted per write, so only one chunk's text is held.
-_CHUNK_PAIRS = 1 << 16
-#: Stands in for the amplitude list while json.dumps lays out the rest.
-_AMPLITUDES = "\0amplitudes\0"
-#: json.dumps(indent=2) separators of [re, im] pairs two levels deep, where
-#: payload["state"]["amplitudes"] sits.
-_IN_PAIR = ",\n        "
-_BETWEEN_PAIRS = "\n      ],\n      [\n        "
-#: The text of a zero pair, by its sign bits 2 * signbit(re) + signbit(im).
-_ZERO_PAIRS = tuple(_IN_PAIR.join(p) for p in
-                    (("0.0", "0.0"), ("0.0", "-0.0"),
-                     ("-0.0", "0.0"), ("-0.0", "-0.0")))
-
-
-def _pair_texts(pairs: np.ndarray) -> list[str]:
-    """The JSON text of each [re, im] row of pairs: float.__repr__ of both
-    parts, or the shared _ZERO_PAIRS text when both are zero."""
-    texts = np.array(_ZERO_PAIRS, dtype=object)[np.signbit(pairs) @ [2, 1]]
-    nonzero = np.flatnonzero(pairs.any(axis=1))
-    reprs = map(float.__repr__, pairs[nonzero].ravel().tolist())
-    texts[nonzero] = list(map(_IN_PAIR.join, zip(reprs, reprs)))
-    return texts.tolist()
-
-
-def _write_json(fh, payload: dict, v: Optional[np.ndarray]) -> None:
-    """Write json.dumps(payload, indent=2) and a newline to fh, byte for
-    byte, streaming the amplitudes of v in place of the _AMPLITUDES marker.
-
-    Floats are formatted by float.__repr__, as json's encoder does.
-    """
-    text = json.dumps(payload, indent=2) + "\n"
-    if v is None:
-        fh.write(text)
-        return
-    require_finite(v)       # json would write NaN, which no reader accepts
-    head, _, tail = text.partition(json.dumps(_AMPLITUDES))
-    pairs = np.ascontiguousarray(v, np.complex128).view(np.float64)
-    pairs = pairs.reshape(-1, 2)
-    fh.write(head + "[\n      [\n        ")
-    for start in range(0, len(pairs), _CHUNK_PAIRS):
-        if start:
-            fh.write(_BETWEEN_PAIRS)
-        fh.write(_BETWEEN_PAIRS.join(
-            _pair_texts(pairs[start:start + _CHUNK_PAIRS])))
-    fh.write("\n      ]\n    ]" + tail)
-
-
 def _emit(cfg: RunConfig, fields: dict, header: list[str],
           v: Optional[np.ndarray] = None, reports=None) -> None:
     """Render one result in cfg.format only, to cfg.out or stdout: the JSON
@@ -290,11 +243,13 @@ def _emit(cfg: RunConfig, fields: dict, header: list[str],
         if cfg.format == "json":
             payload = dict(fields)
             if v is not None:
-                payload["state"] = {"n_qubits": num_qubits(v),
-                                    "amplitudes": _AMPLITUDES}
+                payload["state"] = None     # its place; state_to_json fills it
             if reports is not None:
                 payload["entanglement"] = [r.to_json() for r in reports]
-            _write_json(fh, payload, v)
+            if v is None:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+            else:
+                state_to_json(fh, v, payload)
         else:
             parts = list(header)
             if v is not None:
@@ -306,11 +261,7 @@ def _emit(cfg: RunConfig, fields: dict, header: list[str],
 
 def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
     if spec.startswith("@"):
-        obj = _read_json(spec[1:])
-        # the JSON output of generate / apply / entropy holds it under "state"
-        if isinstance(obj, dict) and "state" in obj:
-            obj = obj["state"]
-        return state_from_json(obj)
+        return state_from_json(_read_json(spec[1:]))
     return basis_state(parse_bits(spec))
 
 

@@ -29,7 +29,7 @@ def density_matrix(v: np.ndarray) -> np.ndarray:
     """|v><v| for a normalized pure state."""
     v = np.asarray(v, dtype=np.complex128)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise DomainError(f"state norm {nrm:.6g} is not 1")
     return np.outer(v, v.conj())
 
@@ -92,7 +92,7 @@ def vn_entropy(rho: np.ndarray) -> float:
     Eigenvalues below 1e-12 are treated as exact zeros, and the rest are
     rescaled to sum 1, so a pure state reads exactly 0.
     """
-    if max_abs(rho - dagger(rho)) > 1e-10:
+    if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise DomainError("density matrix must be Hermitian")
     return _entropy_bits(np.linalg.eigvalsh(rho))
 
@@ -147,7 +147,13 @@ def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
     if m.shape[0] < m.shape[1]:
         # R of m^T = QR has m's singular values; an SVD of wide m is slower
         m = np.linalg.qr(m.T, mode="r")
-    return np.linalg.svd(m, compute_uv=False)
+    try:
+        s = np.linalg.svd(m, compute_uv=False)
+        if np.isfinite(s).all():
+            return s
+    except np.linalg.LinAlgError:       # the SVD does not converge on NaN
+        pass
+    raise DomainError("non-finite amplitudes (NaN/Inf) are not accepted")
 
 
 def schmidt_rank(v: np.ndarray, bipartition, tol: float = 1e-9) -> int:

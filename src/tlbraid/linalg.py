@@ -14,13 +14,16 @@ Conventions used throughout the package:
     `tla.tl_projectors`); braid words act on states of any size up to the
     structured cap of `states` without them.
 
-JSON interchange: states are {"n_qubits", "amplitudes"}, each amplitude a
-two-element [re, im] list.
+JSON interchange: a state is {"n_qubits", "amplitudes"}, each amplitude a
+two-element [re, im] list, bare or held under "state" as in the CLI's JSON
+output; `state_to_json` writes it (streamed) and `state_from_json` reads it.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -167,16 +170,56 @@ def _pairs_from_json(pairs) -> np.ndarray:
     return np.ascontiguousarray(a, np.float64).view(np.complex128).reshape(-1)
 
 
-def state_to_json(v: np.ndarray) -> dict:
-    v = np.ascontiguousarray(v, np.complex128)
-    return {
-        "n_qubits": num_qubits(v),
-        "amplitudes": v.view(np.float64).reshape(-1, 2).tolist(),
-    }
+#: Amplitude pairs formatted per write, so only one chunk's text is held.
+_CHUNK_PAIRS = 1 << 16
+#: Stands in for the amplitude list while json.dumps lays out the rest.
+_AMPLITUDES = "\0amplitudes\0"
 
 
-def state_from_json(obj: dict) -> np.ndarray:
-    """Decode {"n_qubits": n, "amplitudes": [[re, im], ...]}."""
+def _pair_texts(pairs: np.ndarray, sep: str) -> list[str]:
+    """The JSON text of each [re, im] row of pairs: float.__repr__ of both
+    parts joined by sep, or one of four shared texts when both are zero."""
+    # the zero pairs' texts, by their sign bits 2 * signbit(re) + signbit(im)
+    zeros = np.array([re + sep + im for re in ("0.0", "-0.0")
+                      for im in ("0.0", "-0.0")], dtype=object)
+    texts = zeros[np.signbit(pairs) @ [2, 1]]
+    nonzero = np.flatnonzero(pairs.any(axis=1))
+    reprs = map(float.__repr__, pairs[nonzero].ravel().tolist())
+    texts[nonzero] = list(map(sep.join, zip(reprs, reprs)))
+    return texts.tolist()
+
+
+def state_to_json(fh, v: np.ndarray, outer: Optional[dict] = None) -> None:
+    """Write json.dumps(doc, indent=2) and a newline to the text file fh,
+    byte for byte, where doc is the state {"n_qubits", "amplitudes"} or
+    `outer` with the state under "state" (in that key's place if it has one).
+
+    The amplitudes are streamed _CHUNK_PAIRS at a time, each float written
+    by float.__repr__ as json's encoder does.
+    """
+    require_finite(v)       # json would write NaN, which no reader accepts
+    doc = {"n_qubits": num_qubits(v), "amplitudes": _AMPLITUDES}
+    if outer is not None:
+        doc = {**outer, "state": doc}
+    text = json.dumps(doc, indent=2) + "\n"
+    head, _, tail = text.partition(json.dumps(_AMPLITUDES))
+    # indent=2 line breaks of the amplitude list, its pairs and their parts
+    end = "\n" + "  " * (1 if outer is None else 2)
+    row, part = end + "  ", end + "    "
+    sep, between = "," + part, row + "]," + row + "[" + part
+    pairs = np.ascontiguousarray(v, np.complex128).view(np.float64).reshape(-1, 2)
+    fh.write(head + "[" + row + "[" + part)
+    for start in range(0, len(pairs), _CHUNK_PAIRS):
+        texts = _pair_texts(pairs[start:start + _CHUNK_PAIRS], sep)
+        fh.write((between if start else "") + between.join(texts))
+    fh.write(row + "]" + end + "]" + tail)
+
+
+def state_from_json(obj) -> np.ndarray:
+    """Decode {"n_qubits": n, "amplitudes": [[re, im], ...]}, bare or held
+    under "state" as the CLI's generate, apply and entropy write it."""
+    if isinstance(obj, dict) and "state" in obj:
+        obj = obj["state"]
     if not isinstance(obj, dict) or not {"n_qubits", "amplitudes"} <= obj.keys():
         raise DomainError('a state needs the keys "n_qubits" and "amplitudes"')
     n = obj["n_qubits"]

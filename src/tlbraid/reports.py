@@ -1,9 +1,11 @@
 """Relation-check reports shared by the verification suites.
 
 JSON shape: ``{"relations": [{"relation_name", "max_residual", "pass"}, ...],
-"pass": bool}``.  Grid sweeps aggregate many instances of the same relation
-into one entry (max residual wins); `instances` and `worst_at` record how
-many were folded in and where the worst residual occurred.
+"pass": bool}``.  Reports are built from the (name, residual) pairs that the
+check functions return: `RelationReport.from_residuals` takes the floats of
+one point; a `ReportAccumulator` folds the arrays of a grid sweep, many
+instances of a relation into one entry (max residual wins), and records in
+`instances` and `worst_at` how many were folded in and where the worst was.
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ class RelationReport:
             RelationCheck(name, float(r), float(r) <= tol) for name, r in named
         )
         return cls(checks=checks, tol=tol, note=note)
-
-
-def report_or_residuals(named: list[tuple[str, object]], tol: float,
-                        batch: tuple[int, ...],
-                        ) -> RelationReport | list[tuple[str, np.ndarray]]:
-    """A RelationReport for one point (empty `batch`); for a stack of points,
-    the (name, residuals of shape `batch`) pairs a ReportAccumulator folds."""
-    if not batch:
-        return RelationReport.from_residuals(named, tol)
-    return [(name, np.broadcast_to(r, batch)) for name, r in named]
 
 
 class ReportAccumulator:

@@ -107,7 +107,7 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     op.require_unitary()
     if n <= 8:
         residual = max_abs(op.dense() - b1.dense() @ b2.dense())
-        if residual > 1e-12:
+        if not residual <= 1e-12:
             raise DomainError(
                 f"structured form deviates from dense b1 b2 by {residual:.3e}"
             )

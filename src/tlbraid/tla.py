@@ -11,6 +11,7 @@ block dressed with the involution chain.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -19,7 +20,6 @@ import numpy as np
 from . import gates
 from .errors import DimensionMismatchError, DomainError
 from .linalg import dagger, kron_all, max_abs
-from .reports import report_or_residuals
 
 _INVOLUTION_TOL = 1e-14
 
@@ -56,10 +56,11 @@ def tl_params(theta: float, phi: float = 0.0,
         theta, phi = float(theta), float(phi)
         # 2 theta must not overflow either: cos(inf) is nan and passes d^2 >= 1
         finite = np.isfinite(2.0 * theta) and np.isfinite(phi)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):     # no float, or too big
         finite = False
     if not finite:
-        raise DomainError("theta and phi must be finite, with |theta| < 8.9e307")
+        raise DomainError("theta and phi must be finite reals with |theta| "
+                          f"< 8.9e307, got {theta!r:.40} and {phi!r:.40}")
     d = -2.0 * np.cos(2.0 * theta)
     if d * d < 1.0 - 1e-12:
         raise DomainError(
@@ -84,6 +85,11 @@ class RepShape:
     k: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n), operator.index(self.k)
+        except TypeError:
+            raise DomainError(f"n and k must be integers, got n={self.n!r:.40}, "
+                              f"k={self.k!r:.40}") from None
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n={self.n}")
         if not 1 <= self.k <= self.n:
@@ -99,7 +105,7 @@ def involution_matrix(spec) -> np.ndarray:
     """Resolve an involution: a name among I, X, Y, Z, H or a 2x2 matrix.
 
     Custom matrices must be Hermitian and square to the identity within
-    1e-14.
+    1e-14 (NaN fails both).
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
@@ -109,12 +115,16 @@ def involution_matrix(spec) -> np.ndarray:
                 "or a 2x2 matrix"
             )
         return gates.gate(name)
-    m = np.array(spec, dtype=np.complex128)
+    try:
+        m = np.array(spec, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # ragged, or no numbers
+        raise DomainError(f"involution {spec!r:.80} is no name or 2x2 matrix"
+                          ) from None
     if m.shape != (2, 2):
         raise DimensionMismatchError(f"involution must be 2x2, got {m.shape}")
-    if max_abs(m - dagger(m)) > _INVOLUTION_TOL:
+    if not max_abs(m - dagger(m)) <= _INVOLUTION_TOL:
         raise DomainError("involution must be Hermitian")
-    if max_abs(m @ m - np.eye(2)) > _INVOLUTION_TOL:
+    if not max_abs(m @ m - np.eye(2)) <= _INVOLUTION_TOL:
         raise DomainError("involution must square to the identity")
     return m
 
@@ -201,7 +211,7 @@ class StructuredBraidOp:
         p, q = self.diag_block, self.offdiag_block
         residual = max(max_abs(dagger(p) @ p + dagger(q) @ q - np.eye(2)),
                        max_abs(dagger(p) @ q + dagger(q) @ p))
-        if residual > tol:
+        if not residual <= tol:
             raise DomainError(
                 f"slot-chain pair deviates from unitarity by {residual:.3e}")
 
@@ -268,30 +278,28 @@ def tl_projectors(shape: RepShape, p: TLParams, spec: tuple[np.ndarray, ...]
     return E1.dense(), E2.dense()
 
 
-def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams,
-                       tol: float = 1e-10):
-    """Residuals of the projector and Temperley-Lieb relations.
+def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams):
+    """(name, residual) pairs of the projector and Temperley-Lieb relations.
 
     Covers E_i^2 = E_i, E1 E2 E1 = a^2 E1, E2 E1 E2 = a^2 E2, and for
     h_i = d E_i: h_i^2 = d h_i, h1 h2 h1 = h1, h2 h1 h2 = h2, plus
-    hermiticity of both h_i.  Two matrices give a RelationReport.  Stacks
-    (..., dim, dim) that broadcast against each other give the (name,
-    residual array) pairs of `reports.report_or_residuals`, one residual
-    per stacked point.
+    hermiticity of both h_i: a float each for two matrices, an array of one
+    per stacked point for stacks (..., dim, dim) that broadcast together.
     """
     try:
-        batch = np.broadcast_shapes(E1.shape[:-2], E2.shape[:-2])
+        np.broadcast_shapes(E1.shape[:-2], E2.shape[:-2])
+        square = E1.ndim >= 2 and E1.shape[-2:] == E2.shape[-2:] \
+            and E1.shape[-1] == E1.shape[-2]
     except ValueError:
-        batch = None
-    if batch is None or E1.ndim < 2 or E1.shape[-2:] != E2.shape[-2:] \
-            or E1.shape[-1] != E1.shape[-2]:
+        square = False
+    if not square:
         raise DimensionMismatchError(
             f"projector shapes {E1.shape} and {E2.shape} must be equal square"
         )
     a2 = p.a * p.a
     d = p.d
     h1, h2 = d * E1, d * E2
-    named = [
+    return [
         ("E1_idempotent", max_abs(E1 @ E1 - E1)),
         ("E2_idempotent", max_abs(E2 @ E2 - E2)),
         ("E1E2E1_eq_a2E1", max_abs(E1 @ E2 @ E1 - a2 * E1)),
@@ -303,4 +311,3 @@ def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams,
         ("h1_hermitian", max_abs(h1 - dagger(h1))),
         ("h2_hermitian", max_abs(h2 - dagger(h2))),
     ]
-    return report_or_residuals(named, tol, batch)

@@ -7,8 +7,9 @@ from {I, X, Y, Z, H}.  The suites check the library's own operators:
 `iter_grid` yields the `jones_pairs` of all assignments of one
 (n, k, phi, theta), in chunks of at most GRID_CHUNK_BYTES of matrices,
 with the involution slots as stacks; `.dense()` makes each pair an
-(m, dim, dim) array, and each relation is one broadcast matmul and one
-`max_abs` over a stack.  Suites fold the residuals into one RelationReport:
+(m, dim, dim) stack (one matrix where no involution enters: E1, b1, n = 1),
+and each relation is one broadcast matmul and one `max_abs`, an array or a
+float standing for every point.  Suites fold them into one RelationReport:
 the max per relation, at its first point in n -> k -> names -> phi -> theta
 order.  A grid with more matrix work (points x dim^3) than the standard
 grid is refused before anything is built.
@@ -130,13 +131,6 @@ def _grid_report(acc: ReportAccumulator) -> RelationReport:
     return acc.report(note=f"{acc.points} grid points")
 
 
-def _stacks(ops) -> list[np.ndarray]:
-    """The ops' dense matrices as stacks (m or 1, dim, dim), also at n = 1,
-    where no involution slot carries the stack axis."""
-    return [np.reshape(m, (-1,) + m.shape[-2:])
-            for m in (op.dense() for op in ops)]
-
-
 def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
     """Fold one slice's (name, residuals) pairs into the accumulator."""
     op = grid.pairs.projectors[0]
@@ -157,9 +151,9 @@ def run_tla_suite(tol: float, **keys) -> RelationReport:
     restricted by the `iter_grid` keys given."""
     acc = ReportAccumulator(tol)
     for grid in iter_grid(**keys):
-        E1, E2 = _stacks(grid.pairs.projectors)
+        E1, E2 = (op.dense() for op in grid.pairs.projectors)
         p = grid.pairs.projectors[0].params
-        _fold(acc, grid, check_tl_relations(E1, E2, p, tol))
+        _fold(acc, grid, check_tl_relations(E1, E2, p))
     return _grid_report(acc)
 
 
@@ -168,10 +162,10 @@ def run_braid_suite(tol: float, **keys) -> RelationReport:
     restricted by the `iter_grid` keys given."""
     acc = ReportAccumulator(tol)
     for grid in iter_grid(**keys):
-        gens = _stacks(grid.pairs.generators)
-        invs = _stacks(grid.pairs.inverses)
+        gens = [b.dense() for b in grid.pairs.generators]
+        invs = [b.dense() for b in grid.pairs.inverses]
         eye = np.eye(gens[0].shape[-1])
-        _fold(acc, grid, check_braid_relations(gens, tol) + [
+        _fold(acc, grid, check_braid_relations(gens) + [
             (f"inverse_b{i}", max_abs(b @ b_inv - eye))
             for i, (b, b_inv) in enumerate(zip(gens, invs), start=1)
         ])

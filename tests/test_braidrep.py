@@ -9,6 +9,7 @@ from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      dagger, generator_power_identity,
                      jones_representation, max_abs, tl_params)
 from tlbraid.braidrep import BraidRepresentation
+from tlbraid.reports import RelationReport
 from tlbraid.gates import CNOT, PAULI_X
 from tlbraid.tla import default_involution_spec, involution_spec
 
@@ -44,7 +45,8 @@ class TestJones:
         assert rep.dim == 8
         b1, b2 = rep.generators
         assert max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2) < 1e-12
-        report = check_braid_relations(rep.generators, 1e-12)
+        report = RelationReport.from_residuals(
+            check_braid_relations(rep.generators), 1e-12)
         assert report.passed
 
     def test_strand_count_is_three(self):
@@ -78,8 +80,8 @@ class TestBell:
         assert max_abs(b1 @ b3 - b3 @ b1) == 0.0
 
     def test_m5_all_relations(self):
-        report = check_braid_relations(bell_representation(5).generators,
-                                       1e-13)
+        report = RelationReport.from_residuals(
+            check_braid_relations(bell_representation(5).generators), 1e-13)
         assert report.passed
 
     def test_capacity(self):
@@ -118,7 +120,8 @@ class TestBraidRelationCounterexample:
     def test_sigma1_and_phase_diag_fail(self):
         # sigma1 and diag(1, i) are unitary but do not braid
         d = np.diag([1.0, 1j]).astype(complex)
-        report = check_braid_relations((PAULI_X, d), 1e-10)
+        report = RelationReport.from_residuals(
+            check_braid_relations((PAULI_X, d)), 1e-10)
         assert not report.passed
         braid = [c for c in report.checks if c.name == "braid_b1b2b1"]
         assert braid and abs(braid[0].residual - 1.0) < 1e-12

@@ -13,15 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tlbraid import (RepShape, bell_representation, evaluate,
-                     jones_representation, max_abs, parse, state_to_json,
-                     tl_params)
+                     jones_representation, linalg, max_abs, parse, tl_params)
 from tlbraid import cli
 from tlbraid.cli import main, parse_angle
 from tlbraid.errors import DomainError
 from tlbraid.states import basis_state
 from tlbraid.tla import involution_spec
 
-from conftest import random_state
+from conftest import EDGE_FLOATS, random_state, signed_zero_state, sparse_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -37,9 +36,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip() else None, err
 
 
+def state_dict(v):
+    """The JSON interchange object of a state, built with json's types."""
+    return {"n_qubits": v.size.bit_length() - 1,
+            "amplitudes": v.view(np.float64).reshape(-1, 2).tolist()}
+
+
 def write_state(tmp_path, v, name="state.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(state_to_json(v)))
+    path.write_text(json.dumps(state_dict(v)))
     return f"@{path}"
 
 
@@ -449,7 +454,7 @@ class TestSinglePath:
         ["entropy", "--state", "0101", "--measure", "2", "--outcome", "1"],
     ])
     @pytest.mark.parametrize("fmt, unused", [("json", "_state_text"),
-                                             ("text", "_write_json")])
+                                             ("text", "state_to_json")])
     def test_renders_only_the_requested_format(self, capsys, monkeypatch,
                                                argv, fmt, unused):
         def refuse(*args, **kwargs):
@@ -468,7 +473,7 @@ class TestJsonWriter:
     def check(capsys, v, reports=None):
         fields = {"kind": "k", "measurement": {"qubit": 1, "probability": 0.5}}
         cli._emit(cli.RunConfig(format="json"), fields, [], v, reports)
-        want = dict(fields, state=state_to_json(v))
+        want = dict(fields, state=state_dict(v))
         if reports is not None:
             want["entanglement"] = [r.to_json() for r in reports]
         out, want = capsys.readouterr().out, json.dumps(want, indent=2) + "\n"
@@ -479,10 +484,7 @@ class TestJsonWriter:
                         f"{out[context]!r} != {want[context]!r}")
 
     def test_edge_floats(self, capsys):
-        floats = [-0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1 + 0.2, -5e-324,
-                  -1e22, 1 / 3, 0.0, -1.0, 2.0 ** -1074 * 3, 1e-5, 123456789.0,
-                  1e15 + 0.3, -1e-7]
-        self.check(capsys, np.array(floats).view(np.complex128))
+        self.check(capsys, np.array(EDGE_FLOATS).view(np.complex128))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_random_dense_states(self, capsys, rng, n):
@@ -491,31 +493,19 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 16, 17])
     def test_chunk_boundaries(self, capsys, monkeypatch, rng, chunk):
-        monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(linalg, "_CHUNK_PAIRS", chunk)
         self.check(capsys, random_state(rng, 4))
-
-    @staticmethod
-    def sparse_state(rng, n, nonzero):
-        """Random [re, im] pairs at the pair indices `nonzero`; every other
-        pair is a zero pair with random sign bits."""
-        pairs = np.where(rng.random((1 << n, 2)) < 0.5, -0.0, 0.0)
-        pairs[nonzero] = rng.standard_normal((len(nonzero), 2))
-        return pairs.view(np.complex128).reshape(-1)
 
     @pytest.mark.parametrize("n", [3, 6, 10])
     def test_signed_zero_pairs(self, capsys, rng, n):
-        v = self.sparse_state(rng, n, [0, (1 << n) - 1])
-        v[1:5] = np.array([0.0, -0.0, 0.0, -0.0]) + 1j * np.array(
-            [0.0, 0.0, -0.0, -0.0])
-        v[5] = complex(-0.0, 0.5)
-        self.check(capsys, v)
+        self.check(capsys, signed_zero_state(rng, n))
 
     @pytest.mark.parametrize("chunk", [1, 3, 16])
     def test_zero_runs_across_chunks(self, capsys, monkeypatch, rng, chunk):
         # pairs 0-15 dense, 16-31 zero: with 16 per chunk, a dense chunk
         # beside an all-zero one; with 1 or 3, zero runs cross chunks
-        monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
-        v = self.sparse_state(rng, 6, [*range(16), 33, 40, 41, 47, 63])
+        monkeypatch.setattr(linalg, "_CHUNK_PAIRS", chunk)
+        v = sparse_state(rng, 6, [*range(16), 33, 40, 41, 47, 63])
         self.check(capsys, v)
 
     def test_no_state(self, capsys):

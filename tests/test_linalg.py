@@ -7,11 +7,13 @@ import pytest
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      dagger, kron_all, max_abs, norm,
                      phase_equivalent, state_from_json, state_to_json)
+from tlbraid import linalg
 from tlbraid.braidrep import bell_matrix
 from tlbraid.gates import HADAMARD, PAULI_X
 from tlbraid.linalg import as_state
 
-from conftest import random_state, random_unitary
+from conftest import (EDGE_FLOATS, random_state, random_unitary,
+                      signed_zero_state)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -197,12 +199,23 @@ def test_constructors_reject_nonfinite():
         as_state([1, 0, 0])  # not a power of two
 
 
-def test_state_json_roundtrip(rng):
-    v = random_state(rng, 3)
-    obj = state_to_json(v)
-    assert obj["n_qubits"] == 3
-    back = state_from_json(json.loads(json.dumps(obj)))
-    assert np.array_equal(back, v)
+@pytest.mark.parametrize("outer", [None, {"kind": "k"}],
+                         ids=["bare", "under_state"])
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_state_to_json_roundtrip(tmp_path, monkeypatch, rng, chunk, outer):
+    # bit-identical float64 views: -0.0 and subnormals must survive
+    monkeypatch.setattr(linalg, "_CHUNK_PAIRS", chunk)
+    states = [np.array(EDGE_FLOATS).view(np.complex128), random_state(rng, 5),
+              *(signed_zero_state(rng, n) for n in (3, 6))]
+    for v in states:
+        path = tmp_path / "v.json"
+        with open(path, "w") as fh:
+            state_to_json(fh, v, outer)
+        with open(path) as fh:
+            obj = json.load(fh)
+        assert ("state" in obj) == (outer is not None)
+        back = state_from_json(obj)
+        assert back.view(np.uint64).tobytes() == v.view(np.uint64).tobytes()
 
 
 def test_state_json_length_mismatch():

@@ -8,8 +8,13 @@ from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      jones_pairs, kron_all, local_blocks, max_abs,
                      structured_braid_op, tl_params, tl_projectors)
 from tlbraid.gates import HADAMARD, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from tlbraid.reports import RelationReport
 from tlbraid.tla import (default_involution_spec, involution_matrix,
                          involution_spec)
+
+
+def tl_report(E1, E2, p, tol):
+    return RelationReport.from_residuals(check_tl_relations(E1, E2, p), tol)
 
 
 def mat2_mul(a, b):
@@ -57,7 +62,7 @@ class TestParams:
         p = tl_params(np.pi / 2)
         assert abs(p.d - 2.0) < 1e-15
         E1, E2 = tl_projectors(RepShape(2, 1), p, involution_spec(["x"]))
-        assert check_tl_relations(E1, E2, p, 1e-12).passed
+        assert tl_report(E1, E2, p, 1e-12).passed
 
     @pytest.mark.parametrize("theta", [np.pi / 8, -np.pi / 8, np.pi / 6,
                                        np.pi + np.pi / 8, np.pi - np.pi / 8])
@@ -206,14 +211,14 @@ class TestRelations:
     def test_eq9_pair_passes(self):
         p = tl_params(np.pi / 8, phi=0.0)
         E1, E2 = tl_projectors(RepShape(1, 1), p, involution_spec([]))
-        report = check_tl_relations(E1, E2, p, 1e-14)
+        report = tl_report(E1, E2, p, 1e-14)
         assert report.passed
         assert report.max_residual <= 1e-14
 
     def test_identity_pair_fails(self):
         p = tl_params(np.pi / 8)
         eye = np.eye(2, dtype=complex)
-        report = check_tl_relations(eye, eye, p, 1e-10)
+        report = tl_report(eye, eye, p, 1e-10)
         assert not report.passed
         failed = {c.name for c in report.failures()}
         assert "E1E2E1_eq_a2E1" in failed
@@ -230,13 +235,13 @@ class TestRelations:
         p = tl_params(theta, phi)
         for k in (1, 2, 3):
             E1, E2 = tl_projectors(RepShape(3, k), p, involution_spec(names))
-            report = check_tl_relations(E1, E2, p, 1e-10)
+            report = tl_report(E1, E2, p, 1e-10)
             assert report.passed, report.to_json()
 
     def test_report_json_shape(self):
         p = tl_params(np.pi / 8)
         E1, E2 = tl_projectors(RepShape(1, 1), p, involution_spec([]))
-        obj = check_tl_relations(E1, E2, p, 1e-10).to_json()
+        obj = tl_report(E1, E2, p, 1e-10).to_json()
         assert set(obj) >= {"relations", "pass", "tol"}
         assert all(set(r) >= {"relation_name", "max_residual", "pass"}
                    for r in obj["relations"])

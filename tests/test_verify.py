@@ -46,10 +46,9 @@ def test_tla_suite_small_grid_matches_direct_checks():
     # aggregated max must dominate any directly computed point
     p = tl_params(np.pi / 8, 0.0)
     E1, E2 = tl_projectors(RepShape(2, 1), p, involution_spec(["h"]))
-    direct = check_tl_relations(E1, E2, p, 1e-10)
-    for check in direct.checks:
-        agg = next(c for c in report.checks if c.name == check.name)
-        assert agg.residual >= check.residual - 1e-18
+    for name, residual in check_tl_relations(E1, E2, p):
+        agg = next(c for c in report.checks if c.name == name)
+        assert agg.residual >= residual - 1e-18
         # (n=1: 1 combo) + (n=2: 2 slots x 2 involutions), x 10 theta-phi pairs
         assert agg.instances == (1 + 2 * 2) * 10
 
@@ -156,8 +155,7 @@ def _reference_suites(ns, tol):
                         rep = jones_representation(p, shape, spec)
                         (b1, b2), (i1, i2) = rep.generators, rep.inverses
                         residuals = {
-                            "tla": [(c.name, c.residual) for c in
-                                    check_tl_relations(E1, E2, p, tol).checks],
+                            "tla": check_tl_relations(E1, E2, p),
                             "braid": [
                                 ("braid_b1b2b1",
                                  max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2)),
