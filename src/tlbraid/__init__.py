@@ -13,9 +13,9 @@ from .braidlang import BraidWord, evaluate, evaluate_on_state, parse, render
 from .braidrep import (BraidRepresentation, bell_matrix, bell_representation,
                        check_braid_relations, check_yang_baxter,
                        generator_power_identity, jones_representation)
-from .entangle import (EntanglementReport, density_matrix, entanglement_report,
-                       lu_equivalent, measure_qubit, partial_trace,
-                       reduced_density, schmidt_rank, vn_entropy)
+from .entangle import (EntanglementReport, entanglement_report, lu_equivalent,
+                       measure_qubit, partial_trace, reduced_density,
+                       schmidt_rank, vn_entropy)
 from .errors import (BraidSyntaxError, CapacityError, DimensionMismatchError,
                      DomainError, TLBraidError, UnknownGateError)
 from .gates import gate

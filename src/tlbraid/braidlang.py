@@ -2,10 +2,10 @@
 
 Grammar: a word is one or more whitespace-separated factors, each
 ``b<INDEX>`` with an optional ``^<SIGNED_INT>`` exponent (default 1, zero
-rejected).  Indices are 1-based generator numbers; the strand count is
-`declared_strands` when given, otherwise max index + 1.  Words act on kets
-from the left in reading order: "b1 b2" |v> = (b1 b2) |v>.  `evaluate` is
-the dense product; `evaluate_on_state` never forms it.
+rejected).  Indices are 1-based generator numbers, below `declared_strands`
+when given and checked against the representation where a word is used.
+Words act on kets from the left in reading order: "b1 b2" |v> = (b1 b2) |v>.
+`evaluate` is the dense product; `evaluate_on_state` never forms it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .braidrep import BraidRepresentation, bell_matrix
-from .errors import BraidSyntaxError, DimensionMismatchError, DomainError
+from .errors import (BraidSyntaxError, DimensionMismatchError, DomainError,
+                     as_int)
 from .linalg import dagger, max_abs
 from .states import apply_structured
 from .tla import StructuredBraidOp
@@ -29,16 +30,15 @@ _FACTOR_RE = re.compile(r"b(\d+)(?:\^([+-]?\d+))?\Z")
 
 @dataclass(frozen=True)
 class BraidWord:
-    strands: int
     factors: tuple[tuple[int, int], ...]   # (generator index, exponent)
 
 
 def parse(text: str, declared_strands: Optional[int] = None) -> BraidWord:
     """Parse braid-word text; syntax errors carry the character position."""
-    if declared_strands is not None and declared_strands < 2:
+    if declared_strands is not None and \
+            as_int(declared_strands, "declared_strands") < 2:
         raise DomainError(f"need at least 2 strands, got {declared_strands}")
     factors = []
-    max_index = 0
     matches = list(re.finditer(r"\S+", text))
     if not matches:
         raise BraidSyntaxError("empty braid word", 0)
@@ -64,9 +64,7 @@ def parse(text: str, declared_strands: Optional[int] = None) -> BraidWord:
                 f"(has b1..b{declared_strands - 1})", tok.start()
             )
         factors.append((index, exponent))
-        max_index = max(max_index, index)
-    strands = declared_strands if declared_strands is not None else max_index + 1
-    return BraidWord(strands=strands, factors=tuple(factors))
+    return BraidWord(tuple(factors))
 
 
 def render(word: BraidWord) -> str:

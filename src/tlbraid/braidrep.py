@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, as_int
 from .linalg import dagger, kron_all, max_abs
 from .reports import RelationReport
 from .tla import JonesPairs, RepShape, TLParams, jones_pairs
@@ -43,7 +43,8 @@ class BraidRepresentation:
     pairs: Optional[JonesPairs] = None      # jones only
 
     def __post_init__(self):
-        if self.strands < 2 or self.pairs and self.strands != 3:
+        m = as_int(self.strands, "a strand count")
+        if m < 2 or self.pairs and m != 3:
             raise DomainError(f"a {self.family} representation needs "
                               f"{'3' if self.pairs else 'at least 2'} "
                               f"strands, got {self.strands}")
@@ -130,12 +131,12 @@ def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:
     return RelationReport.from_residuals([("yang_baxter", residual)], tol)
 
 
-def _root_of_unity_order(A: complex, max_order: int = 1024,
-                         tol: float = 1e-9) -> Optional[int]:
+def _root_of_unity_order(A: complex) -> Optional[int]:
+    """The least m <= 1024 with |A^m - 1| <= 1e-9, or None."""
     z = 1.0 + 0.0j
-    for m in range(1, max_order + 1):
+    for m in range(1, 1025):
         z *= A
-        if abs(z - 1.0) <= tol:
+        if abs(z - 1.0) <= 1e-9:
             return m
     return None
 
@@ -146,8 +147,8 @@ def generator_power_identity(rep: BraidRepresentation,
 
     jones family: with m the least order with A^m = 1, checks
     b_i^m = ((-1)^m - 1)/d * h_i + I, plus b_i^m = I for even m
-    (b_i^{2m} = I for odd m).  Not applicable when A is not a root of
-    unity within the bounded search.  bell family: R^8 = I and b_i^8 = I.
+    (b_i^{2m} = I for odd m); no checks, as its note says, where A is no
+    root of unity within the bounded search.  bell family: R^8 = I, b_i^8 = I.
     """
     if rep.family == "bell":
         named = [("R8_eq_I", max_abs(np.linalg.matrix_power(_BELL, 8) - np.eye(4)))]
@@ -160,7 +161,7 @@ def generator_power_identity(rep: BraidRepresentation,
     m = _root_of_unity_order(p.A)
     if m is None:
         return RelationReport(
-            checks=(), tol=tol, applicable=False,
+            checks=(), tol=tol,
             note="A is not a root of unity within order 1024; "
                  "power identity not applicable",
         )

@@ -259,7 +259,7 @@ def _emit(cfg: RunConfig, fields: dict, header: list[str],
             fh.write("\n".join(parts) + "\n")
 
 
-def _load_state(cfg: RunConfig, spec: str) -> np.ndarray:
+def _load_state(spec: str) -> np.ndarray:
     if spec.startswith("@"):
         return state_from_json(_read_json(spec[1:]))
     return basis_state(parse_bits(spec))
@@ -323,7 +323,7 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
 
 
 def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
-    v = _load_state(cfg, state)
+    v = _load_state(state)
     n = num_qubits(v)
     if cfg.n is not None and cfg.n != n:
         raise DomainError(f"--n {cfg.n} disagrees with the {n}-qubit state")
@@ -341,7 +341,7 @@ def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
 
 def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
                 measure: Optional[int], outcome: int) -> int:
-    v = _load_state(cfg, state)
+    v = _load_state(state)
     tol = cfg.tol if cfg.tol is not None else 1e-9
     fields: dict = {}
     header = []

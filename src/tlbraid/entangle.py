@@ -19,23 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, as_int
 from .linalg import apply_single_qubit, dagger, max_abs, num_qubits, phase_equivalent
 
 _EIG_CUTOFF = 1e-12
 
 
-def density_matrix(v: np.ndarray) -> np.ndarray:
-    """|v><v| for a normalized pure state."""
-    v = np.asarray(v, dtype=np.complex128)
-    nrm = np.linalg.norm(v)
-    if not abs(nrm - 1.0) <= 1e-10:
-        raise DomainError(f"state norm {nrm:.6g} is not 1")
-    return np.outer(v, v.conj())
-
-
 def _validate_subset(subset, n: int, proper: bool = True) -> tuple[int, ...]:
-    keep = tuple(sorted(set(int(q) for q in subset)))
+    keep = tuple(sorted({as_int(q, "a qubit label") for q in subset}))
     if not keep:
         raise DomainError("qubit subset must be non-empty")
     if any(q < 1 or q > n for q in keep):
@@ -101,6 +92,7 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
     """Born-rule probability and renormalized post-state on n-1 qubits;
     the only qubit of a 1-qubit state is refused."""
     n = num_qubits(v)
+    qubit, outcome = as_int(qubit, "a qubit label"), as_int(outcome, "outcome")
     if not 1 <= qubit <= n:
         raise DomainError(f"qubit {qubit} out of range 1..{n}")
     if n == 1:

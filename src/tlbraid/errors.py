@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import operator
 
 
 class TLBraidError(Exception):
@@ -30,3 +32,13 @@ class BraidSyntaxError(TLBraidError, ValueError):
 
 class UnknownGateError(TLBraidError, ValueError):
     """Gate name not in the registry."""
+
+
+def as_int(value, what: str) -> int:
+    """value through operator.index, so ints and numpy integers pass and
+    2.0, "2" or an array do not: DomainError for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r:.40}"
+                          ) from None

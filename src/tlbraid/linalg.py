@@ -27,21 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, DomainError
+from .errors import CapacityError, DimensionMismatchError, DomainError, as_int
 
 DENSE_CAP_QUBITS = 12
 DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
-
-
-def as_state(amplitudes) -> np.ndarray:
-    """Validated state vector: 1-D, complex, length a power of two."""
-    v = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-    if v.size < 1 or v.size & (v.size - 1):
-        raise DimensionMismatchError(
-            f"state length {v.size} is not a power of two"
-        )
-    require_finite(v)
-    return v
 
 
 def require_finite(arr: np.ndarray) -> None:
@@ -96,7 +85,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
     """Apply a 2x2 matrix to qubit `pos` (1-based) of a state vector."""
-    n = num_qubits(v)
+    n, pos = num_qubits(v), as_int(pos, "a qubit label")
     if not 1 <= pos <= n:
         raise DimensionMismatchError(f"qubit {pos} out of range 1..{n}")
     t = v.reshape(1 << (pos - 1), 2, 1 << (n - pos))
@@ -217,7 +206,8 @@ def state_to_json(fh, v: np.ndarray, outer: Optional[dict] = None) -> None:
 
 def state_from_json(obj) -> np.ndarray:
     """Decode {"n_qubits": n, "amplitudes": [[re, im], ...]}, bare or held
-    under "state" as the CLI's generate, apply and entropy write it."""
+    under "state" as the CLI's generate, apply and entropy write it: 2^n
+    finite amplitudes, viewed as complex in the array the pairs decode to."""
     if isinstance(obj, dict) and "state" in obj:
         obj = obj["state"]
     if not isinstance(obj, dict) or not {"n_qubits", "amplitudes"} <= obj.keys():
@@ -226,7 +216,8 @@ def state_from_json(obj) -> np.ndarray:
     if isinstance(n, bool) or not (isinstance(n, int) or
                                    isinstance(n, float) and n.is_integer()):
         raise DomainError("a state needs an integer n_qubits")
-    v = as_state(_pairs_from_json(obj["amplitudes"]))
+    v = _pairs_from_json(obj["amplitudes"])
+    require_finite(v)
     if num_qubits(v) != n:
         raise DimensionMismatchError(
             f"{v.size} amplitudes for an {n}-qubit state"

@@ -3,9 +3,9 @@
 JSON shape: ``{"relations": [{"relation_name", "max_residual", "pass"}, ...],
 "pass": bool}``.  Reports are built from the (name, residual) pairs that the
 check functions return: `RelationReport.from_residuals` takes the floats of
-one point; a `ReportAccumulator` folds the arrays of a grid sweep, many
-instances of a relation into one entry (max residual wins), and records in
-`instances` and `worst_at` how many were folded in and where the worst was.
+one point; a `ReportAccumulator` folds the arrays of a grid sweep, every
+point of a relation into one entry (max residual wins), and records where
+the worst was in `worst_at` and the sweep's point count in `instances`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class RelationCheck:
 class RelationReport:
     checks: tuple[RelationCheck, ...]
     tol: float
-    applicable: bool = True
     note: str = ""
 
     @property
@@ -61,8 +60,6 @@ class RelationReport:
             "pass": self.passed,
             "tol": self.tol,
         }
-        if not self.applicable:
-            out["applicable"] = False
         if self.note:
             out["note"] = self.note
         return out
@@ -78,12 +75,11 @@ class RelationReport:
 
 class ReportAccumulator:
     """Folds arrays of per-point relation residuals into a grid-level
-    RelationReport."""
+    RelationReport; every relation is folded at each of the `points`."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self._worst: dict[str, tuple[float, int, str]] = {}
-        self._counts: dict[str, int] = {}
         self.points = 0
 
     def add(self, name: str, residuals, label: Callable[[int], str],
@@ -96,7 +92,6 @@ class ReportAccumulator:
         names the i-th point; it is called only for a new worst point.
         """
         r = np.broadcast_to(residuals, (len(positions),))
-        self._counts[name] = self._counts.get(name, 0) + len(positions)
         i = int(np.argmax(r))
         residual, at = float(r[i]), positions[i]
         worst = self._worst.get(name)
@@ -113,7 +108,7 @@ class ReportAccumulator:
                 name,
                 residual,
                 residual <= self.tol,
-                instances=self._counts[name],
+                instances=self.points,
                 worst_at=where,
             )
             for name, (residual, _, where) in sorted(self._worst.items())

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import CapacityError, DimensionMismatchError, DomainError
+from .errors import CapacityError, DimensionMismatchError, DomainError, as_int
 from .linalg import DENSE_CAP_QUBITS, max_abs, num_qubits
 from .tla import (RepShape, StructuredBraidOp, TLParams,
                   default_involution_spec, jones_pairs, tl_params)
@@ -39,7 +39,7 @@ def parse_bits(bits: Bits) -> tuple[int, ...]:
         if set(bits.strip()) - {"0", "1"}:
             raise DomainError(f"bits must be 0 or 1, got {bits!r:.80}")
         bits = [int(c) for c in bits.strip()]
-    out = tuple(int(b) for b in bits)
+    out = tuple(as_int(b, "a bit") for b in bits)
     if len(out) < 1:
         raise DomainError("bit string must contain at least one bit")
     if any(b not in (0, 1) for b in out):
@@ -55,6 +55,7 @@ def bits_to_index(bits: Bits) -> int:
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
+    index, n = as_int(index, "an index"), as_int(n, "n")
     return tuple((index >> (n - j)) & 1 for j in range(1, n + 1))
 
 

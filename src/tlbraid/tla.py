@@ -11,14 +11,13 @@ block dressed with the involution chain.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gates
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, as_int
 from .linalg import dagger, kron_all, max_abs
 
 _INVOLUTION_TOL = 1e-14
@@ -28,14 +27,12 @@ _INVOLUTION_TOL = 1e-14
 class TLParams:
     """Scalar parameters: A = e^{i theta}, d = -2 cos(2 theta), a, b.
 
-    a = a_sign / |d| and b = b_sign * sqrt(1 - 1/d^2), so a^2 + b^2 = 1 and
-    a^2 = 1/d^2; hermiticity of the h_i requires d^2 >= 1 (enforced).
+    a = +-1/|d| and b = +-sqrt(1 - 1/d^2) (`tl_params` picks the signs), so
+    a^2 + b^2 = 1 and a^2 = 1/d^2; hermiticity of the h_i needs d^2 >= 1.
     """
 
     theta: float
     phi: float
-    a_sign: int
-    b_sign: int
     A: complex
     d: float
     a: float
@@ -50,6 +47,7 @@ def tl_params(theta: float, phi: float = 0.0,
     |theta mod pi| <= pi/6 (d <= -1) or |theta mod pi - pi/2| <= pi/6
     (d >= +1).
     """
+    a_sign, b_sign = as_int(a_sign, "a_sign"), as_int(b_sign, "b_sign")
     if a_sign not in (1, -1) or b_sign not in (1, -1):
         raise DomainError("a_sign and b_sign must be +1 or -1")
     try:
@@ -73,8 +71,7 @@ def tl_params(theta: float, phi: float = 0.0,
     b_sq = 1.0 - 1.0 / (d * d)
     a, b = ((a_sign / abs(d), b_sign * np.sqrt(b_sq)) if b_sq > 1e-14
             else (float(a_sign), 0.0))
-    return TLParams(theta=theta, phi=phi, a_sign=a_sign, b_sign=b_sign,
-                    A=np.exp(1j * theta), d=d, a=a, b=b)
+    return TLParams(theta=theta, phi=phi, A=np.exp(1j * theta), d=d, a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -85,11 +82,7 @@ class RepShape:
     k: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.n), operator.index(self.k)
-        except TypeError:
-            raise DomainError(f"n and k must be integers, got n={self.n!r:.40}, "
-                              f"k={self.k!r:.40}") from None
+        as_int(self.n, "n"), as_int(self.k, "k")
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n={self.n}")
         if not 1 <= self.k <= self.n:
@@ -190,7 +183,7 @@ class StructuredBraidOp:
 
     def __pow__(self, exponent: int) -> "StructuredBraidOp":
         """Positive power by binary powering: O(log exponent) products."""
-        if exponent < 1:
+        if as_int(exponent, "an exponent") < 1:
             raise DomainError(f"need a positive exponent, got {exponent}")
         out, base = None, self
         while True:

@@ -188,7 +188,7 @@ def run_powers_suite(tol: float, theta: float = np.pi / 8,
     jrep = generator_power_identity(jones_representation(
         tl_params(theta, phi), shape, default_involution_spec(shape)), tol)
     brep = generator_power_identity(bell_representation(3), tol)
-    note = jrep.note if jrep.applicable else \
+    note = jrep.note if jrep.checks else \
         f"Jones power identity skipped: {jrep.note}"
     return RelationReport(jrep.checks + brep.checks, tol, note=note)
 

@@ -1,8 +1,10 @@
 """Bad input to the public API ends in a typed TLBraidError.
 
 NaN fails every tolerance check (each is written `not x <= tol`), values
-that are no numbers are refused where they enter, and a state holding NaN
-or Inf is refused by its cut reports.
+that are no numbers are refused where they enter, integer arguments are
+read through operator.index (so 1.5, 2.0 and "1" are refused rather than
+truncated or converted), and a state holding NaN or Inf is refused by its
+cut reports.
 """
 
 import math
@@ -12,15 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbraid import (DomainError, RepShape, TLBraidError, basis_state,
-                     density_matrix, entanglement_report, evaluate_on_state,
-                     ghz_state, involution_matrix, jones_representation,
-                     parse, schmidt_rank, structured_braid_op, tl_params,
-                     vn_entropy)
+from tlbraid import (DomainError, RepShape, TLBraidError, apply_single_qubit,
+                     basis_state, bell_representation, entanglement_report,
+                     evaluate_on_state, gate, ghz_state, index_to_bits,
+                     involution_matrix, jones_representation, measure_qubit,
+                     parse, parse_bits, partial_trace, reduced_density,
+                     schmidt_rank, structured_braid_op, tl_params, vn_entropy)
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
 NAN_STATE = np.array([NAN, 0, 0, 1], dtype=complex)
+GHZ3 = ghz_state(3)
+GHZ3_RHO = np.outer(GHZ3, GHZ3.conj())
 
 
 def nan_spec():
@@ -44,14 +49,39 @@ def nan_spec():
     lambda: schmidt_rank(NAN_STATE, [1]),
     lambda: schmidt_rank(np.array([math.inf, 0, 0, 1], dtype=complex), [1]),
     lambda: schmidt_rank(np.full(8, NAN, dtype=complex), [1, 2]),
-    lambda: density_matrix(np.array([NAN, 1], dtype=complex)),
     lambda: vn_entropy(np.full((2, 2), NAN)),
+    lambda: entanglement_report(GHZ3, [1.5]),
+    lambda: entanglement_report(GHZ3, ["1"]),
+    lambda: entanglement_report(GHZ3, [NAN]),
+    lambda: schmidt_rank(GHZ3, [2.9]),
+    lambda: reduced_density(GHZ3, [1.7]),
+    lambda: partial_trace(GHZ3_RHO, [1.2]),
+    lambda: measure_qubit(GHZ3, 1.5, 0),
+    lambda: measure_qubit(GHZ3, 1, 0.0),
+    lambda: apply_single_qubit(gate("h"), GHZ3, 1.5),
+    lambda: bell_representation(2.5),
+    lambda: bell_representation(3.0),
+    lambda: parse("b1", declared_strands=2.5),
+    lambda: tl_params(0.1, 0.0, np.array([1, -1])),
+    lambda: tl_params(0.1, 0.0, 1, np.array([1])),
+    lambda: structured_braid_op(RepShape(2, 1)) ** 2.5,
+    lambda: parse_bits([0.5, 1]),
+    lambda: index_to_bits(1.5, 2),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
         "repshape_float", "repshape_text", "ghz_float_n",
         "entanglement_report_nan", "schmidt_rank_nan", "schmidt_rank_inf",
-        "schmidt_rank_nan_dense", "density_matrix_nan", "vn_entropy_nan"])
+        "schmidt_rank_nan_dense", "vn_entropy_nan",
+        "entanglement_report_float_label", "entanglement_report_text_label",
+        "entanglement_report_nan_label", "schmidt_rank_float_label",
+        "reduced_density_float_label", "partial_trace_float_label",
+        "measure_qubit_float_qubit", "measure_qubit_float_outcome",
+        "apply_single_qubit_float_pos", "bell_representation_half_strands",
+        "bell_representation_float_strands", "parse_float_strands",
+        "tl_params_array_sign", "tl_params_one_entry_array_sign",
+        "structured_op_float_power", "parse_bits_float_bit",
+        "index_to_bits_float_index"])
 def test_bad_input_is_a_domain_error(probe):
     with pytest.raises(DomainError):
         probe()
@@ -83,3 +113,44 @@ def test_fuzz_constructors_raise_only_typed_errors(call):
         fn(*args)
     except TLBraidError:
         pass
+
+
+_LABELS = (st.integers(-1, 4) | st.integers() | st.booleans()
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | st.sampled_from([1.0, 2.0, 1.5, NAN, math.inf, "1", "2", None,
+                              1j, np.float64(2.0), np.array([1]), [1]])
+           | st.floats() | st.text(max_size=2))
+
+
+def _is_int_in(x, lo: int, hi: int) -> bool:
+    """x is an integer (an int, bool or numpy integer) in lo..hi."""
+    return isinstance(x, (int, np.integer)) and lo <= x <= hi
+
+
+def _returns_or_refuses(call, valid: bool) -> None:
+    if valid:
+        call()
+    else:
+        with pytest.raises(TLBraidError):
+            call()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(labels=st.lists(_LABELS, min_size=0, max_size=4))
+def test_cut_functions_take_only_integer_labels_in_range(labels):
+    # a cut keeps a non-empty proper subset of the 3 qubits
+    valid = all(_is_int_in(q, 1, 3) for q in labels) and \
+        0 < len(set(labels)) < 3
+    for call in (lambda: entanglement_report(GHZ3, labels),
+                 lambda: schmidt_rank(GHZ3, labels),
+                 lambda: reduced_density(GHZ3, labels),
+                 lambda: partial_trace(GHZ3_RHO, labels)):
+        _returns_or_refuses(call, valid)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(qubit=_LABELS, outcome=_LABELS)
+def test_measure_qubit_takes_only_integer_labels_in_range(qubit, outcome):
+    # each outcome on each qubit of GHZ3 has probability 1/2
+    valid = _is_int_in(qubit, 1, 3) and _is_int_in(outcome, 0, 1)
+    _returns_or_refuses(lambda: measure_qubit(GHZ3, qubit, outcome), valid)

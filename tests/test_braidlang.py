@@ -33,13 +33,11 @@ DRESSINGS = [
 class TestParse:
     def test_simple_word(self):
         word = parse("b1 b2", declared_strands=3)
-        assert word.strands == 3
         assert word.factors == ((1, 1), (2, 1))
 
-    def test_exponents_and_inference(self):
+    def test_exponents(self):
         word = parse("b1 b2^-1 b1^3")
         assert word.factors == ((1, 1), (2, -1), (1, 3))
-        assert word.strands == 3
 
     def test_index_out_of_range(self):
         with pytest.raises(BraidSyntaxError, match="b3 out of range"):
@@ -81,8 +79,7 @@ word_strategy = st.lists(
 @given(word_strategy)
 @settings(max_examples=60, deadline=None)
 def test_render_parse_roundtrip(factors):
-    word = BraidWord(strands=max(i for i, _ in factors) + 1,
-                     factors=tuple(factors))
+    word = BraidWord(tuple(factors))
     assert parse(render(word)) == word
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from tlbraid import entangle
 from tlbraid import (DimensionMismatchError, DomainError, basis_state,
-                     bell_representation, density_matrix, entanglement_report,
-                     ghz_state, kron_all, lu_equivalent, max_abs, measure_qubit,
+                     bell_representation, entanglement_report, ghz_state,
+                     kron_all, lu_equivalent, max_abs, measure_qubit,
                      partial_trace, reduced_density, schmidt_rank, vn_entropy)
 from tlbraid.gates import HADAMARD, IDENTITY_2
 from tlbraid.states import cluster_like_state, index_to_bits
@@ -14,6 +14,11 @@ from tlbraid.states import cluster_like_state, index_to_bits
 from conftest import random_state, random_unitary
 
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def density_matrix(v):
+    """|v><v|."""
+    return np.outer(v, v.conj())
 
 
 def bell_state():

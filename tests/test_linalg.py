@@ -10,7 +10,6 @@ from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
 from tlbraid import linalg
 from tlbraid.braidrep import bell_matrix
 from tlbraid.gates import HADAMARD, PAULI_X
-from tlbraid.linalg import as_state
 
 from conftest import (EDGE_FLOATS, random_state, random_unitary,
                       signed_zero_state)
@@ -193,10 +192,10 @@ def test_phase_equivalent_dim_mismatch():
 
 
 def test_constructors_reject_nonfinite():
-    with pytest.raises(ValueError):
-        as_state([np.inf, 0])
-    with pytest.raises(DimensionMismatchError):
-        as_state([1, 0, 0])  # not a power of two
+    with pytest.raises(DomainError):
+        state_from_json({"n_qubits": 1, "amplitudes": [[np.inf, 0], [0, 0]]})
+    with pytest.raises(DimensionMismatchError):     # not a power of two
+        state_from_json({"n_qubits": 1, "amplitudes": [[1, 0]] * 3})
 
 
 @pytest.mark.parametrize("outer", [None, {"kind": "k"}],

@@ -218,6 +218,7 @@ def test_accumulator_ties_go_to_the_earliest_position():
     acc.add("r", np.array([0.5, 2.0, 2.0]), label("a"), range(10, 13))
     acc.add("r", np.array([2.0, 1.0]), label("b"), range(3, 5))
     acc.add("r", 2.0, label("c"), range(20, 22))
+    acc.add_point(7)
     check, = acc.report().checks
     assert (check.residual, check.worst_at, check.instances) == (2.0, "b0", 7)
     assert labelled == ["a1", "b0"]
