@@ -2,18 +2,25 @@
 
 The structured operator is (diagonal term at slot k) + (tensor chain), so one
 pass over the 2^n amplitudes suffices.  The kernel views the state as one
-axis per qubit (qubit 1 = axis 0, the most significant index bit) and builds
-the tensor-chain term axis by axis:
+axis per qubit (qubit 1 = axis 0, the most significant index bit) and writes
+the result block by block, one block per value of the top axes:
 
-1. scale axis j by the coefficient its source bit picks up, coeffs[j, bit],
-   as one broadcast multiply by two half-length Kronecker vectors;
-2. contract the slots whose 2x2 mixes basis states (H, tilted axes), in
-   place while the term is still contiguous;
-3. reverse each maximal run of bit-flipping axes, as a view;
-4. add the slot-k diagonal term d(x_k) v.
+1. fill the block with the chain's scale-and-flip part: the flipped view of
+   v (each maximal run of bit-flipping axes reversed) times the flipped
+   coefficient table, held as the Kronecker vector of the block's rows and
+   one scalar per block;
+2. contract the slots whose 2x2 mixes basis states (H, tilted axes) in
+   groups of at most _GROUP adjacent slots, in place with
+   `linalg.apply_in_place`;
+3. add the slot-k diagonal term d(x_k) v.
 
-No index array and no 2^n coefficient vector is built; the peak is about
-twice the state (the term and the result).
+The chain's factors act on distinct axes and the mixing slots neither flip
+nor scale, so the order of steps 1 and 2 does not matter.  Groups inside a
+block's axes are contracted while the block is in cache, and step 3 follows
+at once; groups that touch the top axes need the whole result, and then
+steps 2 and 3 run as passes of their own.  The result is the one array of
+the state's size: every temporary, a group's matrix included, holds at most
+a quarter of the state and `linalg.BLOCK_AMPS` amplitudes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,12 @@ from itertools import groupby
 from typing import Sequence
 
 import numpy as np
+
+from . import linalg
+
+#: Most adjacent mixing slots contracted as one 2^j x 2^j matrix: the
+#: matmul's work per amplitude grows with 2^j, its passes fall with 1/j
+_GROUP = 5
 
 
 def backend() -> str:
@@ -42,21 +55,24 @@ def _kron_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract_axis(term: np.ndarray, axis: int, m2: np.ndarray) -> None:
-    """term <- m2 acting on `axis`, in place with half-size temporaries."""
-    t = term.reshape(1 << axis, 2, -1)
-    a, b = t[:, 0], t[:, 1]
-    new_a = a * m2[0, 0]
-    new_a += m2[0, 1] * b
-    b *= m2[1, 1]
-    b += m2[1, 0] * a
-    a[...] = new_a
+def _groups(mixers: Sequence[tuple[int, np.ndarray]], n: int):
+    """(first axis, Kronecker product of the 2x2s) for each group of at most
+    _GROUP adjacent mixing axes; a group's matrix holds at most a sixteenth
+    of the state (but at least its 2x2)."""
+    size = max(1, min(_GROUP, (n - 4) // 2))
+    runs: list[list] = []
+    for axis, m2 in mixers:
+        if not runs or axis != runs[-1][-1][0] + 1 or len(runs[-1]) == size:
+            runs.append([])
+        runs[-1].append((axis, m2))
+    return [(run[0][0], linalg.kron_all(*(m2 for _, m2 in run)))
+            for run in runs]
 
 
 def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
                 mixers: Sequence[tuple[int, np.ndarray]], k: int,
                 diag0: complex, diag1: complex) -> np.ndarray:
-    """d(x_k) v + (tensor chain) v for an n-qubit state v.
+    """d(x_k) v + (tensor chain) v for an n-qubit state v, as complex128.
 
     `coeffs` is the (n, 2) table from `phase_vector`; `flips[j]` says whether
     axis j's slot flips its bit; `mixers` lists (axis, 2x2) for the slots that
@@ -64,31 +80,44 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     of the diagonal block diag(diag0, diag1).
     """
     n = len(coeffs)
-    half = n // 2
-    term = v.reshape(1 << half, -1) * _kron_rows(coeffs[:half])[:, None]
-    term *= _kron_rows(coeffs[half:])
-    for axis, m2 in mixers:
-        _contract_axis(term, axis, m2)
-
-    # by parts of the top qubits: numpy's ufunc buffers grow with the
-    # operands up to 128 KiB, so on small states whole-state operands would
-    # add a third state to the peak
-    top = min(n, 2)
-    runs = [(flip, 1) for flip in flips[:top]]
-    runs += [(flip, len(list(group))) for flip, group in groupby(flips[top:])]
+    # blocks of at most an eighth of the state
+    low = max(0, min(n - 3, linalg.BLOCK_AMPS.bit_length() - 1))
+    top = n - low
+    # target bit x picks up the coefficient of its source bit x ^ flip
+    table = np.where(np.array(flips)[:, None], coeffs[:, ::-1], coeffs)
+    scales = _kron_rows(table[:top])
+    runs = [(flip, len(list(group))) for flip, group in groupby(flips[top:])]
     shape = [1 << size for _, size in runs]
-    flipped = term.reshape(shape)[tuple(slice(None, None, -1) if flip
-                                        else slice(None) for flip, _ in runs)]
-    out = np.empty_like(v)
-    dd = np.array([[diag0], [diag1]])
-    for part, (out_p, v_p) in enumerate(zip(out.reshape(1 << top, -1),
-                                            v.reshape(1 << top, -1))):
-        bits = [(part >> (top - 1 - j)) & 1 for j in range(top)]
-        if k <= top:
-            np.multiply(v_p, dd[bits[k - 1], 0], out=out_p)
-        else:
-            np.multiply(v_p.reshape(1 << (k - 1 - top), 2, -1), dd,
-                        out=out_p.reshape(1 << (k - 1 - top), 2, -1))
-        np.add(out_p.reshape(shape[top:]), flipped[tuple(bits)],
-               out=out_p.reshape(shape[top:]))
+    flipped = tuple(slice(None, None, -1) if flip else slice(None)
+                    for flip, _ in runs)
+    weights = _kron_rows(table[top:]).reshape(shape)
+    source = sum(1 << (top - 1 - j) for j, flip in enumerate(flips[:top]) if flip)
+    groups = _groups(mixers, n)
+    inner = [(axis - top + 1, m) for axis, m in groups if axis >= top]
+    outer = [(axis + 1, m) for axis, m in groups if axis < top]
+
+    out = np.empty(v.shape, dtype=np.complex128)
+    blocks, v_blocks = out.reshape(1 << top, -1), v.reshape(1 << top, -1)
+    diag = np.array([diag0, diag1], dtype=np.complex128)
+    split = (1, 1, -1) if k <= top else (1 << (k - 1 - top), 2, -1)
+    tmp = np.empty(1 << low, dtype=np.complex128)
+
+    def add_diagonal(part: int) -> None:
+        d = diag[(part >> (top - k)) & 1] if k <= top else diag[:, None]
+        np.multiply(v_blocks[part].reshape(split), d, out=tmp.reshape(split))
+        blocks[part] += tmp
+
+    for part, block in enumerate(blocks):
+        np.multiply(v_blocks[part ^ source].reshape(shape)[flipped], weights,
+                    out=block.reshape(shape))
+        if scales[part] != 1:
+            block *= scales[part]
+        for first, m in inner:
+            linalg.apply_in_place(m, block, first)
+        if not outer:
+            add_diagonal(part)
+    for first, m in outer:
+        linalg.apply_in_place(m, out, first)
+    for part in range(len(blocks) if outer else 0):
+        add_diagonal(part)
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from .braidrep import BraidRepresentation, bell_matrix
 from .errors import (BraidSyntaxError, DimensionMismatchError, DomainError,
                      as_int)
-from .linalg import dagger, max_abs
+from .linalg import apply_in_place, dagger, max_abs
 from .states import apply_structured
 from .tla import StructuredBraidOp
 
@@ -74,6 +74,12 @@ def render(word: BraidWord) -> str:
 
 
 def _check_compat(word: BraidWord, rep: BraidRepresentation) -> None:
+    if not word.factors:
+        raise DomainError("empty braid word")
+    for index, exponent in word.factors:
+        if as_int(index, "a generator index") < 1:
+            raise DomainError(f"generator index must be >= 1, got {index}")
+        as_int(exponent, "an exponent")
     top = max(i for i, _ in word.factors)
     if top > rep.strands - 1:
         raise DomainError(
@@ -148,8 +154,8 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
         return apply_structured(fold(word, rep), v)
     _check_compat(word, rep)
     r = bell_matrix()
+    out = np.array(v, dtype=np.complex128)
     for index, exponent in reversed(word.factors):
         # R^8 = I, so R^e = R^(e mod 8) for every integer e, exactly
-        factor = np.linalg.matrix_power(r, exponent % 8)
-        v = np.matmul(factor, v.reshape(1 << (index - 1), 4, -1)).reshape(-1)
-    return v
+        apply_in_place(np.linalg.matrix_power(r, exponent % 8), out, index)
+    return out

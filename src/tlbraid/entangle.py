@@ -25,8 +25,18 @@ from .linalg import apply_single_qubit, dagger, max_abs, num_qubits, phase_equiv
 _EIG_CUTOFF = 1e-12
 
 
+def _items(values, what: str) -> list:
+    """The items of a collection; DomainError for anything not iterable."""
+    try:
+        return list(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a collection, got {values!r:.80}"
+                          ) from None
+
+
 def _validate_subset(subset, n: int, proper: bool = True) -> tuple[int, ...]:
-    keep = tuple(sorted({as_int(q, "a qubit label") for q in subset}))
+    keep = tuple(sorted({as_int(q, "a qubit label")
+                         for q in _items(subset, "a qubit subset")}))
     if not keep:
         raise DomainError("qubit subset must be non-empty")
     if any(q < 1 or q > n for q in keep):
@@ -165,6 +175,7 @@ def lu_equivalent(u: np.ndarray, v: np.ndarray, locals_, tol: float = 1e-10) -> 
     n = num_qubits(v)
     if num_qubits(u) != n:
         raise DimensionMismatchError("states have different qubit counts")
+    locals_ = _items(locals_, "the local unitaries")
     if len(locals_) != n:
         raise DimensionMismatchError(f"need {n} local unitaries, got {len(locals_)}")
     w = v

@@ -6,7 +6,8 @@ Conventions used throughout the package:
     qubits has 2**n amplitudes,
   * qubit 1 is the leftmost tensor factor and the most significant bit of
     the amplitude index, so |a1 a2 ... an> sits at index sum a_j 2**(n-j),
-  * no function mutates its inputs,
+  * no function mutates its inputs but `apply_in_place`, the one primitive
+    that applies a matrix to adjacent qubits,
   * dense matrices, built by `kron_all` (stacks (..., rows, cols) that
     broadcast, as in `dagger` and `max_abs`), are capped at 2**12 x 2**12
     (DENSE_CAP_DIM) entries per matrix and per stack where they are asked
@@ -31,6 +32,10 @@ from .errors import CapacityError, DimensionMismatchError, DomainError, as_int
 
 DENSE_CAP_QUBITS = 12
 DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
+#: Amplitudes in the largest temporary a pass over a state holds (1 MiB)
+BLOCK_AMPS = 1 << 16
+#: Widest rows on which `apply_in_place` applies m x I in one matmul
+_ROWS = 32
 
 
 def require_finite(arr: np.ndarray) -> None:
@@ -83,13 +88,58 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def apply_in_place(m: np.ndarray, v: np.ndarray, first: int) -> None:
+    """v <- m acting on qubits first..first+j-1 (1-based) of the complex
+    state v, for a 2^j x 2^j matrix m; the one function that writes to its
+    input.
+
+    Works slab by slab through temporaries of at most BLOCK_AMPS amplitudes
+    and a quarter of v (but at least 2^j).  Where the qubits and those after
+    them span at most _ROWS amplitudes, v is taken as rows of that span and
+    multiplied by (m x I)^T, one matmul per slab: as a stack of 2^j-row
+    slices these would be many tiny matmuls.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    n, first = num_qubits(v), as_int(first, "a qubit label")
+    if v.dtype != np.complex128 or not v.flags.c_contiguous:
+        raise DomainError("a state is changed in place only as one "
+                          "contiguous complex128 array")
+    d = m.shape[0]
+    j = d.bit_length() - 1
+    if m.shape != (d, d) or d != 1 << j or j < 1:
+        raise DimensionMismatchError(f"matrix of shape {m.shape} is no "
+                                     "2^j x 2^j qubit operator")
+    if not 1 <= first <= n - j + 1:
+        raise DimensionMismatchError(
+            f"qubits {first}..{first + j - 1} out of range 1..{n}")
+    lead, rest = 1 << (first - 1), 1 << (n - first - j + 1)
+    span, chunk = d * rest, max(d, min(BLOCK_AMPS, v.size >> 2))
+    step = min(lead, max(1, chunk // span))
+    if span <= _ROWS and span * span <= max(d * d, v.size >> 2):
+        mt = np.zeros((d, rest, d, rest), dtype=np.complex128)
+        for r in range(rest):       # (m x I_rest)^T
+            mt[:, r, :, r] = m.T
+        mt, rows = mt.reshape(span, span), v.reshape(lead, span)
+        buf = np.empty((step, span), dtype=np.complex128)
+        for lo in range(0, lead, step):
+            np.matmul(rows[lo:lo + step], mt, out=buf)
+            rows[lo:lo + step] = buf
+        return
+    t = v.reshape(lead, d, rest)
+    width = min(rest, chunk // d)
+    buf = np.empty((step, d, width), dtype=np.complex128)
+    for lo in range(0, lead, step):
+        for ro in range(0, rest, width):
+            part = t[lo:lo + step, :, ro:ro + width]
+            np.matmul(m, part, out=buf)
+            part[...] = buf
+
+
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
     """Apply a 2x2 matrix to qubit `pos` (1-based) of a state vector."""
-    n, pos = num_qubits(v), as_int(pos, "a qubit label")
-    if not 1 <= pos <= n:
-        raise DimensionMismatchError(f"qubit {pos} out of range 1..{n}")
-    t = v.reshape(1 << (pos - 1), 2, 1 << (n - pos))
-    return np.einsum("ab,ibj->iaj", m2, t).reshape(-1)
+    out = np.array(v, dtype=np.complex128)
+    apply_in_place(m2, out, pos)
+    return out
 
 
 def norm(v: np.ndarray) -> float:

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbraid import (DomainError, RepShape, TLBraidError, apply_single_qubit,
-                     basis_state, bell_representation, entanglement_report,
-                     evaluate_on_state, gate, ghz_state, index_to_bits,
-                     involution_matrix, jones_representation, measure_qubit,
-                     parse, parse_bits, partial_trace, reduced_density,
-                     schmidt_rank, structured_braid_op, tl_params, vn_entropy)
+from tlbraid import (BraidWord, DomainError, RepShape, TLBraidError,
+                     apply_single_qubit, basis_state, bell_representation,
+                     entanglement_report, evaluate_on_state, gate, ghz_state,
+                     index_to_bits, involution_matrix, jones_representation,
+                     lu_equivalent, measure_qubit, parse, parse_bits,
+                     partial_trace, reduced_density, schmidt_rank,
+                     structured_braid_op, tl_params, vn_entropy)
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
@@ -67,6 +68,12 @@ def nan_spec():
     lambda: structured_braid_op(RepShape(2, 1)) ** 2.5,
     lambda: parse_bits([0.5, 1]),
     lambda: index_to_bits(1.5, 2),
+    lambda: evaluate_on_state(BraidWord(((1.5, 1),)), bell_representation(3),
+                              basis_state("000")),
+    lambda: evaluate_on_state(BraidWord(((1, 0.5),)), bell_representation(3),
+                              basis_state("000")),
+    lambda: entanglement_report(GHZ3, 1),
+    lambda: lu_equivalent(GHZ3, GHZ3, 3),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -81,7 +88,9 @@ def nan_spec():
         "bell_representation_float_strands", "parse_float_strands",
         "tl_params_array_sign", "tl_params_one_entry_array_sign",
         "structured_op_float_power", "parse_bits_float_bit",
-        "index_to_bits_float_index"])
+        "index_to_bits_float_index", "braid_word_float_index",
+        "braid_word_float_exponent", "entanglement_report_int_subset",
+        "lu_equivalent_int_locals"])
 def test_bad_input_is_a_domain_error(probe):
     with pytest.raises(DomainError):
         probe()

@@ -278,13 +278,15 @@ class TestEvaluateOnState:
         evaluate_on_state(word, rep, random_state(rng, n))
         assert not {"generators", "inverses"} & set(vars(rep))
 
-    @pytest.mark.parametrize("family", ["jones", "bell"])
-    def test_peak_memory_is_state_sized(self, rng, family):
+    @pytest.mark.parametrize("family, names", [
+        ("jones", "xhyizxh"), ("bell", None), ("jones", "hhhhhhh")],
+        ids=["jones", "bell", "jones_all_h"])
+    def test_peak_memory_is_state_sized(self, rng, family, names):
         n = 8
         if family == "jones":
             shape = RepShape(n, 4)
             rep = jones_representation(tl_params(np.pi / 8), shape,
-                                       involution_spec("xhyizxh"))
+                                       involution_spec(names))
             word = parse("b1 b2^-1 b1^3 b2^5", declared_strands=3)
         else:
             rep = bell_representation(n)

@@ -1,8 +1,11 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      dagger, kron_all, max_abs, norm,
@@ -114,6 +117,37 @@ def test_oversized_kron_stack_is_refused_before_allocating():
     # two 2^12 x 2^12 matrices hold more entries than one capped matrix
     with pytest.raises(CapacityError):
         kron_all(np.ones((2, 1, 1)), np.broadcast_to(1.0, (1 << 12, 1 << 12)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_apply_in_place_matches_the_dense_kron(data):
+    # every slab layout: block sizes from one amplitude up, qubit runs of
+    # 1-3 anywhere, so both the (m x I) rows and the wide slabs are taken
+    n = data.draw(st.integers(1, 8), label="n")
+    j = data.draw(st.integers(1, min(3, n)), label="j")
+    first = data.draw(st.integers(1, n - j + 1), label="first")
+    block = data.draw(st.integers(0, n), label="block qubits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m, v = random_unitary(rng, 1 << j), random_state(rng, n)
+    dense = kron_all(np.eye(1 << (first - 1)), m, np.eye(1 << (n - first - j + 1)))
+    out = v.copy()
+    with mock.patch.object(linalg, "BLOCK_AMPS", 1 << block):
+        linalg.apply_in_place(m, out, first)
+    assert max_abs(out - dense @ v) <= 1e-12
+
+
+@pytest.mark.parametrize("m, v, first, error", [
+    (HADAMARD, np.ones(8), 1, DomainError),
+    (HADAMARD, np.ones(16, dtype=complex)[::2], 1, DomainError),
+    (np.eye(3), np.ones(8, dtype=complex), 1, DimensionMismatchError),
+    (np.eye(4), np.ones(8, dtype=complex), 3, DimensionMismatchError),
+    (HADAMARD, np.ones(8, dtype=complex), 0, DimensionMismatchError),
+], ids=["real_state", "strided_view", "3x3_matrix", "past_the_last_qubit",
+        "qubit_0"])
+def test_apply_in_place_refuses_what_it_cannot_change(m, v, first, error):
+    with pytest.raises(error):
+        linalg.apply_in_place(m, v, first)
 
 
 def test_bell_matrix_inverse_is_adjoint():
