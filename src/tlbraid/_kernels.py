@@ -9,18 +9,17 @@ the result block by block, one block per value of the top axes:
    v (each maximal run of bit-flipping axes reversed) times the flipped
    coefficient table, held as the Kronecker vector of the block's rows and
    one scalar per block;
-2. contract the slots whose 2x2 mixes basis states (H, tilted axes) in
-   groups of at most _GROUP adjacent slots, in place with
-   `linalg.apply_in_place`;
+2. contract each slot whose 2x2 mixes basis states (H, tilted axes) with
+   its 2x2, in place with `linalg.apply_in_place`;
 3. add the slot-k diagonal term d(x_k) v.
 
 The chain's factors act on distinct axes and the mixing slots neither flip
-nor scale, so the order of steps 1 and 2 does not matter.  Groups inside a
-block's axes are contracted while the block is in cache, and step 3 follows
-at once; groups that touch the top axes need the whole result, and then
-steps 2 and 3 run as passes of their own.  The result is the one array of
-the state's size: every temporary, a group's matrix included, holds at most
-a quarter of the state and `linalg.BLOCK_AMPS` amplitudes.
+nor scale, so the order of steps 1 and 2 does not matter.  Mixing slots
+inside a block's axes are contracted while the block is in cache, and step 3
+follows at once; mixing slots on the top axes need the whole result, and
+then steps 2 and 3 run as passes of their own.  The result is the one array
+of the state's size: every temporary holds at most a quarter of the state
+and `linalg.BLOCK_AMPS` amplitudes.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-
-#: Most adjacent mixing slots contracted as one 2^j x 2^j matrix: the
-#: matmul's work per amplitude grows with 2^j, its passes fall with 1/j
-_GROUP = 5
 
 
 def backend() -> str:
@@ -53,20 +48,6 @@ def _kron_rows(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         out = np.multiply.outer(out, row).reshape(-1)
     return out
-
-
-def _groups(mixers: Sequence[tuple[int, np.ndarray]], n: int):
-    """(first axis, Kronecker product of the 2x2s) for each group of at most
-    _GROUP adjacent mixing axes; a group's matrix holds at most a sixteenth
-    of the state (but at least its 2x2)."""
-    size = max(1, min(_GROUP, (n - 4) // 2))
-    runs: list[list] = []
-    for axis, m2 in mixers:
-        if not runs or axis != runs[-1][-1][0] + 1 or len(runs[-1]) == size:
-            runs.append([])
-        runs[-1].append((axis, m2))
-    return [(run[0][0], linalg.kron_all(*(m2 for _, m2 in run)))
-            for run in runs]
 
 
 def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
@@ -92,9 +73,8 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
                     for flip, _ in runs)
     weights = _kron_rows(table[top:]).reshape(shape)
     source = sum(1 << (top - 1 - j) for j, flip in enumerate(flips[:top]) if flip)
-    groups = _groups(mixers, n)
-    inner = [(axis - top + 1, m) for axis, m in groups if axis >= top]
-    outer = [(axis + 1, m) for axis, m in groups if axis < top]
+    inner = [(axis - top + 1, m2) for axis, m2 in mixers if axis >= top]
+    outer = [(axis + 1, m2) for axis, m2 in mixers if axis < top]
 
     out = np.empty(v.shape, dtype=np.complex128)
     blocks, v_blocks = out.reshape(1 << top, -1), v.reshape(1 << top, -1)
@@ -112,12 +92,12 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
                     out=block.reshape(shape))
         if scales[part] != 1:
             block *= scales[part]
-        for first, m in inner:
-            linalg.apply_in_place(m, block, first)
+        for pos, m2 in inner:
+            linalg.apply_in_place(m2, block, pos)
         if not outer:
             add_diagonal(part)
-    for first, m in outer:
-        linalg.apply_in_place(m, out, first)
+    for pos, m2 in outer:
+        linalg.apply_in_place(m2, out, pos)
     for part in range(len(blocks) if outer else 0):
         add_diagonal(part)
     return out

@@ -137,6 +137,9 @@ def apply_in_place(m: np.ndarray, v: np.ndarray, first: int) -> None:
 
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
     """Apply a 2x2 matrix to qubit `pos` (1-based) of a state vector."""
+    if np.shape(m2) != (2, 2):
+        raise DimensionMismatchError(f"matrix of shape {np.shape(m2)} is no "
+                                     "single-qubit operator")
     out = np.array(v, dtype=np.complex128)
     apply_in_place(m2, out, pos)
     return out

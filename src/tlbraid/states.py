@@ -10,9 +10,9 @@ F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a basis
 state it therefore produces at most two terms, and acting on an arbitrary
 state it needs one linear pass over the amplitudes instead of a 2^n x 2^n
 matrix.  Every dressing goes through the axis-wise kernel in `_kernels`:
-monomial slots (I and the Paulis) scale and flip their qubit axis, and runs
-of slots that mix basis states (e.g. the Hadamard involution) are contracted
-in groups, in place in the result.  The result is the one state-sized array
+monomial slots (I and the Paulis) scale and flip their qubit axis, and slots
+that mix basis states (e.g. the Hadamard involution) are contracted with
+their 2x2, in place in the result.  The result is the one state-sized array
 a pass allocates; its other temporaries are bounded blocks.
 """
 

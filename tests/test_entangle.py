@@ -8,7 +8,7 @@ from tlbraid import (DimensionMismatchError, DomainError, basis_state,
                      bell_representation, entanglement_report, ghz_state,
                      kron_all, lu_equivalent, max_abs, measure_qubit,
                      partial_trace, reduced_density, schmidt_rank, vn_entropy)
-from tlbraid.gates import HADAMARD, IDENTITY_2
+from tlbraid.gates import CNOT, HADAMARD, IDENTITY_2
 from tlbraid.states import cluster_like_state, index_to_bits
 
 from conftest import random_state, random_unitary
@@ -334,6 +334,14 @@ class TestLUEquivalence:
             lu_equivalent(bell_state(), ghz3(), [IDENTITY_2] * 2)
         with pytest.raises(DimensionMismatchError):
             lu_equivalent(bell_state(), bell_state(), [IDENTITY_2])
+
+    def test_entangling_local_refused(self):
+        # CNOT (H x I) maps |00> to the Bell state, but it is no local unitary
+        entangler = CNOT @ kron_all(HADAMARD, IDENTITY_2)
+        with pytest.raises(DimensionMismatchError):
+            lu_equivalent(bell_state(), basis_state("00"), [entangler, IDENTITY_2])
+        with pytest.raises(DimensionMismatchError):
+            lu_equivalent(bell_state(), basis_state("00"), [IDENTITY_2, entangler])
 
 
 class TestNormalization:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
-                     dagger, kron_all, max_abs, norm,
+                     apply_single_qubit, dagger, kron_all, max_abs, norm,
                      phase_equivalent, state_from_json, state_to_json)
 from tlbraid import linalg
 from tlbraid.braidrep import bell_matrix
@@ -148,6 +148,14 @@ def test_apply_in_place_matches_the_dense_kron(data):
 def test_apply_in_place_refuses_what_it_cannot_change(m, v, first, error):
     with pytest.raises(error):
         linalg.apply_in_place(m, v, first)
+
+
+@pytest.mark.parametrize("m", [np.eye(4), np.eye(3), np.eye(1), np.ones(2)],
+                         ids=["4x4", "3x3", "1x1", "vector"])
+def test_apply_single_qubit_refuses_a_matrix_that_is_not_2x2(m):
+    # a 4x4 must not act on two qubits: callers pass single-qubit locals
+    with pytest.raises(DimensionMismatchError):
+        apply_single_qubit(m, np.ones(8, dtype=complex) / 8 ** 0.5, 1)
 
 
 def test_bell_matrix_inverse_is_adjoint():
