@@ -5,7 +5,8 @@ Grammar: a word is one or more whitespace-separated factors, each
 rejected).  Indices are 1-based generator numbers, below `declared_strands`
 when given and checked against the representation where a word is used.
 Words act on kets from the left in reading order: "b1 b2" |v> = (b1 b2) |v>.
-`evaluate` is the dense product; `evaluate_on_state` never forms it.
+A word has one product per family, its `fold` or the bell loop, which
+`evaluate_on_state` runs on a state and `evaluate` on the identity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .braidrep import BraidRepresentation, bell_matrix
 from .errors import (BraidSyntaxError, DimensionMismatchError, DomainError,
                      as_int)
-from .linalg import apply_in_place, dagger, max_abs
+from .linalg import apply_in_place, dagger, kron_all, max_abs
 from .states import apply_structured
 from .tla import StructuredBraidOp
 
@@ -93,25 +94,29 @@ def _too_long(word: BraidWord, verb: str, why) -> DomainError:
                        f"{verb} within 1e-9 of unitarity: {why}")
 
 
-def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
-    """Left-to-right product of generator powers (binary powering).
-
-    A bell power is taken to |e| mod 8, exactly, since b_i^8 = I.  As in
-    `fold`, a product that deviates from unitarity by more than 1e-9, or
-    whose powers overflow first, is refused with a DomainError.
-    """
+def _bell_loop(word: BraidWord, rep: BraidRepresentation,
+               out: np.ndarray) -> np.ndarray:
+    """out <- (word) out, in place: R^(e mod 8) on qubits (i, i+1) of the
+    flat state out, one factor at a time, the rightmost first."""
     _check_compat(word, rep)
-    out = np.eye(rep.dim, dtype=np.complex128)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for index, exponent in word.factors:
-                g = (rep.generators if exponent > 0
-                     else rep.inverses)[index - 1]
-                power = abs(exponent) if rep.pairs else abs(exponent) % 8
-                out = out @ np.linalg.matrix_power(g, power)
-            residual = max_abs(dagger(out) @ out - np.eye(rep.dim))
-    except FloatingPointError as exc:
-        raise _too_long(word, "evaluate", exc) from None
+    r = bell_matrix()
+    for index, exponent in reversed(word.factors):
+        # R^8 = I, so R^e = R^(e mod 8) for every integer e, exactly
+        apply_in_place(np.linalg.matrix_power(r, exponent % 8), out, index)
+    return out
+
+
+def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
+    """The word's dense matrix: `fold(word, rep).dense()` for a jones word,
+    the bell loop on the identity for a bell word, taken as a flat state of
+    2m qubits whose first m index the rows.  The dense cap applies before
+    anything is allocated; as in `fold`, a product that deviates from
+    unitarity by more than 1e-9 is refused with a DomainError."""
+    if rep.family == "jones":
+        return fold(word, rep).dense()
+    out = kron_all(*[np.eye(2, dtype=np.complex128)] * rep.strands)
+    _bell_loop(word, rep, out.reshape(-1))
+    residual = max_abs(dagger(out) @ out - np.eye(rep.dim))
     if not residual <= 1e-9:
         raise _too_long(word, "evaluate", f"residual {residual:.3e}")
     return out
@@ -142,9 +147,8 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
     """Apply the word to a state without forming its matrix.
 
     A jones word folds into one slot-chain pair (2x2 products, each power
-    by binary powering) that acts in one pass over the amplitudes.  A bell
-    word applies R^(e mod 8) to qubits (i, i+1) one factor at a time, the
-    rightmost first, as (g1 g2 ...) v does.
+    by binary powering) that acts in one pass over the amplitudes; a bell
+    word runs the bell loop on a copy of v.
     """
     if rep.dim != v.shape[0]:
         raise DimensionMismatchError(
@@ -152,10 +156,4 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
         )
     if rep.family == "jones":
         return apply_structured(fold(word, rep), v)
-    _check_compat(word, rep)
-    r = bell_matrix()
-    out = np.array(v, dtype=np.complex128)
-    for index, exponent in reversed(word.factors):
-        # R^8 = I, so R^e = R^(e mod 8) for every integer e, exactly
-        apply_in_place(np.linalg.matrix_power(r, exponent % 8), out, index)
-    return out
+    return _bell_loop(word, rep, np.array(v, dtype=np.complex128))

@@ -9,7 +9,7 @@ Two families, each held by its definition:
     the 4x4 Bell matrix R in slots (i, i+1).
 
 The 2^n x 2^n generator matrices are built, under the dense cap, only when
-something reads them.
+something reads them; jones powers are taken of the pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, as_int
-from .linalg import dagger, kron_all, max_abs
+from .linalg import dagger, kron_all, max_abs, require_square
 from .reports import RelationReport
 from .tla import JonesPairs, RepShape, TLParams, jones_pairs
 
@@ -73,12 +73,6 @@ class BraidRepresentation:
         return tuple(kron_all(*[eye] * (i - 1), _BELL, *[eye] * (m - i - 1))
                      for i in range(1, m))
 
-    @cached_property
-    def inverses(self) -> tuple[np.ndarray, ...]:
-        if self.pairs:
-            return tuple(b.dense() for b in self.pairs.inverses)
-        return tuple(dagger(g) for g in self.generators)
-
 
 def jones_representation(p: TLParams, shape: RepShape,
                          spec: tuple[np.ndarray, ...]) -> BraidRepresentation:
@@ -99,6 +93,7 @@ def check_braid_relations(gens: Sequence[np.ndarray]):
     """(name, residual) pairs of the adjacent braid, far-commutation and
     unitarity relations: a float each for matrices, an array of one per
     stacked point for stacks (..., dim, dim) that broadcast together."""
+    require_square(*gens)
     named = []
     for i in range(len(gens) - 1):
         bi, bj = gens[i], gens[i + 1]
@@ -120,15 +115,15 @@ def check_braid_relations(gens: Sequence[np.ndarray]):
     return named
 
 
-def check_yang_baxter(r: np.ndarray, tol: float = 1e-14) -> RelationReport:
-    """Residual of (R x I)(I x R)(R x I) = (I x R)(R x I)(I x R)."""
+def check_yang_baxter(r: np.ndarray):
+    """The (name, residual) pair of (R x I)(I x R)(R x I) =
+    (I x R)(R x I)(I x R), in a list as the other relation checks give."""
     if r.shape != (4, 4):
         raise DimensionMismatchError(f"Yang-Baxter check needs a 4x4 matrix, got {r.shape}")
     eye = np.eye(2, dtype=np.complex128)
     ri = kron_all(r, eye)
     ir = kron_all(eye, r)
-    residual = max_abs(ri @ ir @ ri - ir @ ri @ ir)
-    return RelationReport.from_residuals([("yang_baxter", residual)], tol)
+    return [("yang_baxter", max_abs(ri @ ir @ ri - ir @ ri @ ir))]
 
 
 def _root_of_unity_order(A: complex) -> Optional[int]:
@@ -147,8 +142,9 @@ def generator_power_identity(rep: BraidRepresentation,
 
     jones family: with m the least order with A^m = 1, checks
     b_i^m = ((-1)^m - 1)/d * h_i + I, plus b_i^m = I for even m
-    (b_i^{2m} = I for odd m); no checks, as its note says, where A is no
-    root of unity within the bounded search.  bell family: R^8 = I, b_i^8 = I.
+    (b_i^{2m} = I for odd m), of pair powers and h_i = d E_i; no checks, as
+    its note says, where A is no root of unity within the bounded search.
+    bell family: R^8 = I, b_i^8 = I.
     """
     if rep.family == "bell":
         named = [("R8_eq_I", max_abs(np.linalg.matrix_power(_BELL, 8) - np.eye(4)))]
@@ -157,7 +153,8 @@ def generator_power_identity(rep: BraidRepresentation,
             named.append((f"b{i}^8_eq_I", max_abs(np.linalg.matrix_power(g, 8) - eye)))
         return RelationReport.from_residuals(named, tol)
 
-    p = rep.pairs.generators[0].params
+    pairs = rep.pairs
+    p = pairs.generators[0].params
     m = _root_of_unity_order(p.A)
     if m is None:
         return RelationReport(
@@ -168,17 +165,15 @@ def generator_power_identity(rep: BraidRepresentation,
     eye = np.eye(rep.dim)
     coeff = ((-1) ** m - 1) / p.d
     named = [(f"A_root_order_{m}", abs(p.A ** m - 1.0))]
-    for i, g in enumerate(rep.generators, start=1):
-        h = (g - eye / p.A) / p.A          # recover h_i = (b_i - A^{-1} I)/A
-        gm = np.linalg.matrix_power(g, m)
-        named.append((f"b{i}^{m}_eq_closed_form", max_abs(gm - (coeff * h + eye))))
+    for i, (b, E) in enumerate(zip(pairs.generators, pairs.projectors), 1):
+        gm = (b ** m).dense()
+        named.append((f"b{i}^{m}_eq_closed_form",
+                      max_abs(gm - (coeff * p.d * E.dense() + eye))))
         if m % 2 == 0:
             named.append((f"b{i}^{m}_eq_I", max_abs(gm - eye)))
         else:
-            named.append((
-                f"b{i}^{2 * m}_eq_I",
-                max_abs(np.linalg.matrix_power(g, 2 * m) - eye),
-            ))
+            named.append((f"b{i}^{2 * m}_eq_I",
+                          max_abs((b ** (2 * m)).dense() - eye)))
     return RelationReport.from_residuals(
         named, tol, note=f"least m with A^m=1: {m}"
     )

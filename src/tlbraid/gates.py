@@ -53,7 +53,7 @@ def gate(name: str) -> np.ndarray:
     """Look up a named gate constant (case-insensitive). Returns a copy."""
     try:
         return _REGISTRY[name.strip().lower()].copy()
-    except KeyError:
+    except (AttributeError, KeyError):     # no such name, or no text
         known = ", ".join(sorted(_REGISTRY))
         raise UnknownGateError(f"unknown gate {name!r}; known: {known}") from None
 

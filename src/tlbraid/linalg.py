@@ -7,7 +7,8 @@ Conventions used throughout the package:
   * qubit 1 is the leftmost tensor factor and the most significant bit of
     the amplitude index, so |a1 a2 ... an> sits at index sum a_j 2**(n-j),
   * no function mutates its inputs but `apply_in_place`, the one primitive
-    that applies a matrix to adjacent qubits,
+    that applies a matrix to adjacent qubits (of a matrix's rows, too, in
+    `braidlang.evaluate`, taken as a flat state of twice the qubits),
   * dense matrices, built by `kron_all` (stacks (..., rows, cols) that
     broadcast, as in `dagger` and `max_abs`), are capped at 2**12 x 2**12
     (DENSE_CAP_DIM) entries per matrix and per stack where they are asked
@@ -81,6 +82,21 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
         out = product.reshape(product.shape[:-4] + (
             out.shape[-2] * f.shape[-2], out.shape[-1] * f.shape[-1]))
     return out
+
+
+def require_square(*ms) -> None:
+    """DimensionMismatchError unless ms are square matrices of one size, or
+    stacks (..., dim, dim) of them that broadcast together."""
+    shapes = [np.shape(m) for m in ms]
+    try:
+        np.broadcast_shapes(*(s[:-2] for s in shapes))
+        square = all(len(s) >= 2 and s[-2:] == (s[-1],) * 2 == shapes[0][-2:]
+                     for s in shapes)
+    except ValueError:
+        square = False
+    if not square:
+        raise DimensionMismatchError(
+            f"shapes {shapes} are no square matrices of one size")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -190,7 +206,7 @@ def phase_equivalent(u, v, mode: str = "global", tol: float = 1e-10) -> bool:
         return all(
             _column_phase_match(u[:, j], v[:, j], tol) for j in range(u.shape[1])
         )
-    raise ValueError(f"unknown mode {mode!r}")
+    raise DomainError(f"unknown mode {mode!r}; use global or columnwise")
 
 
 # --- JSON interchange ------------------------------------------------------

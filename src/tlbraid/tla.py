@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gates
 from .errors import DimensionMismatchError, DomainError, as_int
-from .linalg import dagger, kron_all, max_abs
+from .linalg import dagger, kron_all, max_abs, require_square
 
 _INVOLUTION_TOL = 1e-14
 
@@ -280,16 +280,7 @@ def check_tl_relations(E1: np.ndarray, E2: np.ndarray, p: TLParams):
     hermiticity of both h_i: a float each for two matrices, an array of one
     per stacked point for stacks (..., dim, dim) that broadcast together.
     """
-    try:
-        np.broadcast_shapes(E1.shape[:-2], E2.shape[:-2])
-        square = E1.ndim >= 2 and E1.shape[-2:] == E2.shape[-2:] \
-            and E1.shape[-1] == E1.shape[-2]
-    except ValueError:
-        square = False
-    if not square:
-        raise DimensionMismatchError(
-            f"projector shapes {E1.shape} and {E2.shape} must be equal square"
-        )
+    require_square(E1, E2)
     a2 = p.a * p.a
     d = p.d
     h1, h2 = d * E1, d * E2

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tlbraid import (RepShape, apply_structured, basis_state,
+from tlbraid import (RelationReport, RepShape, apply_structured, basis_state,
                      bell_representation, check_yang_baxter, bell_matrix,
                      entanglement_report, generator_power_identity, ghz_state,
                      jones_representation, kron_all, max_abs, measure_qubit,
@@ -47,7 +47,8 @@ def test_criterion_02_braid_relations_and_unitarity():
 
 
 def test_criterion_03_yang_baxter():
-    rep = check_yang_baxter(bell_matrix(), tol=1e-14)
+    rep = RelationReport.from_residuals(check_yang_baxter(bell_matrix()),
+                                        1e-14)
     report(3, rep.passed,
            f"Bell matrix Yang-Baxter residual {rep.max_residual:.2e} "
            "(tol 1e-14)")

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbraid import (BraidWord, DomainError, RepShape, TLBraidError,
-                     apply_single_qubit, basis_state, bell_representation,
+from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
+                     TLBraidError, UnknownGateError, apply_single_qubit,
+                     basis_state, bell_representation, check_braid_relations,
                      entanglement_report, evaluate_on_state, gate, ghz_state,
                      index_to_bits, involution_matrix, jones_representation,
                      lu_equivalent, measure_qubit, parse, parse_bits,
-                     partial_trace, reduced_density, schmidt_rank,
-                     structured_braid_op, tl_params, vn_entropy)
+                     partial_trace, phase_equivalent, reduced_density,
+                     schmidt_rank, structured_braid_op, tl_params, verify,
+                     vn_entropy)
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
@@ -74,6 +76,11 @@ def nan_spec():
                               basis_state("000")),
     lambda: entanglement_report(GHZ3, 1),
     lambda: lu_equivalent(GHZ3, GHZ3, 3),
+    lambda: phase_equivalent(GHZ3, GHZ3, mode="x"),
+    lambda: verify.run_suite("x"),
+    (UnknownGateError, lambda: gate(3)),
+    (DimensionMismatchError,
+     lambda: check_braid_relations([np.eye(2), np.eye(4)])),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -90,9 +97,13 @@ def nan_spec():
         "structured_op_float_power", "parse_bits_float_bit",
         "index_to_bits_float_index", "braid_word_float_index",
         "braid_word_float_exponent", "entanglement_report_int_subset",
-        "lu_equivalent_int_locals"])
+        "lu_equivalent_int_locals", "phase_equivalent_unknown_mode",
+        "run_suite_unknown_suite", "gate_int_name",
+        "check_braid_relations_mixed_sizes"])
 def test_bad_input_is_a_domain_error(probe):
-    with pytest.raises(DomainError):
+    """Each probe raises DomainError, or the error paired with it."""
+    error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)
+    with pytest.raises(error):
         probe()
 
 

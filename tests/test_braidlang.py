@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbraid import (BraidSyntaxError, DimensionMismatchError, DomainError,
-                     RepShape, bell_representation, evaluate,
-                     evaluate_on_state, jones_representation, max_abs, parse,
-                     render, tl_params)
+from tlbraid import (BraidSyntaxError, CapacityError, DimensionMismatchError,
+                     DomainError, RepShape, bell_representation, dagger,
+                     evaluate, evaluate_on_state, jones_representation,
+                     max_abs, parse, render, tl_params)
 from tlbraid.braidlang import BraidWord, fold
 from tlbraid.states import basis_state
 from tlbraid.tla import (StructuredBraidOp, default_involution_spec,
@@ -28,6 +28,17 @@ DRESSINGS = [
     (6, 3, ("x", "h", "y", "z", "i")),
     (7, 4, ("h", "i", "y", "x", "h", "z")),
 ]
+
+
+def dense_word(word, rep):
+    """The oracle: the product of the dense generators' powers, the adjoint
+    for a negative exponent, left to right."""
+    out = np.eye(rep.dim, dtype=np.complex128)
+    for index, exponent in word.factors:
+        g = rep.generators[index - 1]
+        out = out @ np.linalg.matrix_power(g if exponent > 0 else dagger(g),
+                                           abs(exponent))
+    return out
 
 
 class TestParse:
@@ -129,6 +140,10 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="b3"):
             evaluate(parse("b3"), rep)
 
+    def test_bell_matrix_beyond_the_dense_cap(self):
+        with pytest.raises(CapacityError):
+            evaluate(parse("b1"), bell_representation(40))
+
     @pytest.mark.parametrize("exponent", [2 ** 60 + 1, -(2 ** 60 + 1)],
                              ids=["2^60+1", "-2^60-1"])
     def test_huge_bell_exponent_is_taken_mod_8(self, exponent):
@@ -170,9 +185,9 @@ class TestEvaluateOnState:
         p, q = op.diag_block, op.offdiag_block
         assert p[0, 1] == 0 and p[1, 0] == 0
         assert q[0, 0] == 0 and q[1, 1] == 0
-        fast = evaluate_on_state(w, rep, v)
-        dense = evaluate(w, rep) @ v
-        assert max_abs(fast - dense) < 1e-11
+        dense = dense_word(w, rep) @ v
+        assert max_abs(evaluate(w, rep) @ v - dense) < 1e-11
+        assert max_abs(evaluate_on_state(w, rep, v) - dense) < 1e-11
 
     def test_structured_inverse_path(self, rng):
         shape = RepShape(4, 2)
@@ -223,8 +238,9 @@ class TestEvaluateOnState:
                      f"b{top} b1^5 b{(m + 1) // 2}^-7 b1"):
             word = parse(text, declared_strands=m)
             v = random_state(rng, m)
-            out = evaluate_on_state(word, rep, v)
-            assert max_abs(out - evaluate(word, rep) @ v) < 1e-12
+            dense = dense_word(word, rep)
+            assert max_abs(evaluate(word, rep) - dense) < 1e-12
+            assert max_abs(evaluate_on_state(word, rep, v) - dense @ v) < 1e-12
 
     def test_incompatible_word_on_state(self):
         rep = bell_representation(3)
@@ -276,7 +292,7 @@ class TestEvaluateOnState:
             rep = bell_representation(n)
             word = parse("b1 b5^-1 b3^2", declared_strands=n)
         evaluate_on_state(word, rep, random_state(rng, n))
-        assert not {"generators", "inverses"} & set(vars(rep))
+        assert "generators" not in vars(rep)
 
     @pytest.mark.parametrize("family, names", [
         ("jones", "xhyizxh"), ("bell", None), ("jones", "hhhhhhh")],
