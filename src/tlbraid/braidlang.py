@@ -94,11 +94,9 @@ def _too_long(word: BraidWord, verb: str, why) -> DomainError:
                        f"{verb} within 1e-9 of unitarity: {why}")
 
 
-def _bell_loop(word: BraidWord, rep: BraidRepresentation,
-               out: np.ndarray) -> np.ndarray:
+def _bell_loop(word: BraidWord, out: np.ndarray) -> np.ndarray:
     """out <- (word) out, in place: R^(e mod 8) on qubits (i, i+1) of the
     flat state out, one factor at a time, the rightmost first."""
-    _check_compat(word, rep)
     r = bell_matrix()
     for index, exponent in reversed(word.factors):
         # R^8 = I, so R^e = R^(e mod 8) for every integer e, exactly
@@ -112,10 +110,11 @@ def evaluate(word: BraidWord, rep: BraidRepresentation) -> np.ndarray:
     2m qubits whose first m index the rows.  The dense cap applies before
     anything is allocated; as in `fold`, a product that deviates from
     unitarity by more than 1e-9 is refused with a DomainError."""
+    _check_compat(word, rep)
     if rep.family == "jones":
         return fold(word, rep).dense()
-    out = kron_all(*[np.eye(2, dtype=np.complex128)] * rep.strands)
-    _bell_loop(word, rep, out.reshape(-1))
+    flat = kron_all(*[np.eye(2, dtype=np.complex128)] * rep.strands).reshape(-1)
+    out = _bell_loop(word, flat).reshape(rep.dim, rep.dim)
     residual = max_abs(dagger(out) @ out - np.eye(rep.dim))
     if not residual <= 1e-9:
         raise _too_long(word, "evaluate", f"residual {residual:.3e}")
@@ -156,4 +155,5 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
         )
     if rep.family == "jones":
         return apply_structured(fold(word, rep), v)
-    return _bell_loop(word, rep, np.array(v, dtype=np.complex128))
+    _check_compat(word, rep)
+    return _bell_loop(word, np.array(v, dtype=np.complex128))

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, as_int
-from .linalg import (apply_in_place, dagger, max_abs, num_qubits,
-                     phase_equivalent)
+from .linalg import apply_single_qubit, dagger, max_abs, num_qubits, phase_equivalent
 
 _EIG_CUTOFF = 1e-12
 
@@ -179,11 +178,9 @@ def lu_equivalent(u: np.ndarray, v: np.ndarray, locals_, tol: float = 1e-10) -> 
     locals_ = _items(locals_, "the local unitaries")
     if len(locals_) != n:
         raise DimensionMismatchError(f"need {n} local unitaries, got {len(locals_)}")
-    w = np.array(v, dtype=np.complex128)
+    w = v
     for pos, m2 in enumerate(locals_, start=1):
-        if np.shape(m2) != (2, 2):      # apply_in_place takes any 2^j x 2^j
-            raise DimensionMismatchError(f"local unitary {pos} is no 2x2")
-        apply_in_place(m2, w, pos)
+        w = apply_single_qubit(np.asarray(m2, dtype=np.complex128), w, pos)
     return phase_equivalent(u, w, mode="global", tol=tol)
 
 

@@ -144,6 +144,13 @@ class TestEvaluate:
         with pytest.raises(CapacityError):
             evaluate(parse("b1"), bell_representation(40))
 
+    @pytest.mark.parametrize("word", [BraidWord(()), parse("b40")],
+                             ids=["empty", "b40"])
+    def test_bell_word_checked_before_the_identity(self, word):
+        # a DomainError, not the CapacityError of building the identity
+        with pytest.raises(DomainError):
+            evaluate(word, bell_representation(40))
+
     @pytest.mark.parametrize("exponent", [2 ** 60 + 1, -(2 ** 60 + 1)],
                              ids=["2^60+1", "-2^60-1"])
     def test_huge_bell_exponent_is_taken_mod_8(self, exponent):
