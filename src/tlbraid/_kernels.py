@@ -20,16 +20,35 @@ follows at once; mixing slots on the top axes need the whole result, and
 then steps 2 and 3 run as passes of their own.  The result is the one array
 of the state's size: every temporary holds at most a quarter of the state
 and `linalg.BLOCK_AMPS` amplitudes.
+
+Every block is written from its own source block, weights, scale and
+diagonal, so the block loop (and the diagonal pass after outer mixers) is
+spread over the usable cores when the state holds at least `SPREAD_AMPS`
+amplitudes and no mixing slot lies inside the block axes: the calling
+thread and one thread per other core take blocks in turn from a shared
+counter, then join.  Smaller states, and blocks with mixing slots (whose
+per-block contractions contend for the GIL), run the same loop on the
+calling thread.  Each block does the same arithmetic either way, so the
+result does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from itertools import groupby
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
+
+#: Cores this process may run on; the block loop is spread over them
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+#: Amplitudes from which the block loop is spread; the benchmark's smaller
+#: states (amp_mixing, the CLI workloads) keep one thread
+SPREAD_AMPS = 1 << 22
 
 
 def backend() -> str:
@@ -80,24 +99,76 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     blocks, v_blocks = out.reshape(1 << top, -1), v.reshape(1 << top, -1)
     diag = np.array([diag0, diag1], dtype=np.complex128)
     split = (1, 1, -1) if k <= top else (1 << (k - 1 - top), 2, -1)
-    tmp = np.empty(1 << low, dtype=np.complex128)
+    threads = _CORES if v.size >= SPREAD_AMPS and not inner else 1
 
-    def add_diagonal(part: int) -> None:
+    def add_diagonal(part: int, tmp: np.ndarray) -> None:
         d = diag[(part >> (top - k)) & 1] if k <= top else diag[:, None]
         np.multiply(v_blocks[part].reshape(split), d, out=tmp.reshape(split))
         blocks[part] += tmp
 
-    for part, block in enumerate(blocks):
-        np.multiply(v_blocks[part ^ source].reshape(shape)[flipped], weights,
-                    out=block.reshape(shape))
-        if scales[part] != 1:
-            block *= scales[part]
-        for pos, m2 in inner:
-            linalg.apply_in_place(m2, block, pos)
-        if not outer:
-            add_diagonal(part)
+    def fill(parts: Iterable[int]) -> None:
+        tmp = np.empty(1 << low, dtype=np.complex128)
+        for part in parts:
+            block = blocks[part]
+            np.multiply(v_blocks[part ^ source].reshape(shape)[flipped],
+                        weights, out=block.reshape(shape))
+            if scales[part] != 1:
+                block *= scales[part]
+            for pos, m2 in inner:
+                linalg.apply_in_place(m2, block, pos)
+            if not outer:
+                add_diagonal(part, tmp)
+
+    def diagonal(parts: Iterable[int]) -> None:
+        tmp = np.empty(1 << low, dtype=np.complex128)
+        for part in parts:
+            add_diagonal(part, tmp)
+
+    _each_block(len(blocks), fill, threads)
     for pos, m2 in outer:
         linalg.apply_in_place(m2, out, pos)
-    for part in range(len(blocks) if outer else 0):
-        add_diagonal(part)
+    if outer:
+        _each_block(len(blocks), diagonal, threads)
     return out
+
+
+def _each_block(count: int, body: Callable[[Iterable[int]], None],
+                threads: int) -> None:
+    """body(parts) over the block indices 0..count-1.
+
+    With one thread, body gets them all in order.  Otherwise the calling
+    thread and threads - 1 others each run body on a share of the blocks,
+    taken one at a time from a shared counter, and all are joined before
+    this returns; the first exception raised in any of them is raised here.
+    """
+    if threads <= 1:
+        body(range(count))
+        return
+    counter, lock, errors = iter(range(count)), threading.Lock(), []
+
+    def parts():
+        while not errors:
+            with lock:
+                part = next(counter, None)
+            if part is None:
+                return
+            yield part
+
+    def work() -> None:
+        try:
+            body(parts())
+        except BaseException as exc:    # re-raised in the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(min(threads, count) - 1):
+            worker = threading.Thread(target=work)
+            worker.start()
+            started.append(worker)
+        work()
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .braidrep import BraidRepresentation, bell_matrix
 from .errors import (BraidSyntaxError, DimensionMismatchError, DomainError,
                      as_int)
-from .linalg import apply_in_place, dagger, kron_all, max_abs
+from .linalg import apply_in_place, dagger, kron_all, max_abs, num_qubits
 from .states import apply_structured
 from .tla import StructuredBraidOp
 
@@ -149,9 +149,9 @@ def evaluate_on_state(word: BraidWord, rep: BraidRepresentation,
     by binary powering) that acts in one pass over the amplitudes; a bell
     word runs the bell loop on a copy of v.
     """
-    if rep.dim != v.shape[0]:
+    if rep.dim != 1 << num_qubits(v):
         raise DimensionMismatchError(
-            f"representation dim {rep.dim} vs state length {v.shape[0]}"
+            f"representation dim {rep.dim} vs state length {v.size}"
         )
     if rep.family == "jones":
         return apply_structured(fold(word, rep), v)

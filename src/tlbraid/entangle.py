@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, as_int
-from .linalg import apply_single_qubit, dagger, max_abs, num_qubits, phase_equivalent
+from .linalg import (apply_single_qubit, dagger, max_abs, num_qubits,
+                     phase_equivalent, require_array)
 
 _EIG_CUTOFF = 1e-12
 
@@ -48,6 +49,7 @@ def _validate_subset(subset, n: int, proper: bool = True) -> tuple[int, ...]:
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix over the kept qubits (trace preserved)."""
+    require_array(rho, "a density matrix")
     dim = rho.shape[0]
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
@@ -93,6 +95,7 @@ def vn_entropy(rho: np.ndarray) -> float:
     Eigenvalues below 1e-12 are treated as exact zeros, and the rest are
     rescaled to sum 1, so a pure state reads exactly 0.
     """
+    require_array(rho, "a density matrix")
     if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise DomainError("density matrix must be Hermitian")
     return _entropy_bits(np.linalg.eigvalsh(rho))

@@ -44,8 +44,18 @@ def require_finite(arr: np.ndarray) -> None:
         raise DomainError("non-finite entries (NaN/Inf) are not accepted")
 
 
+def require_array(x, what: str) -> None:
+    """DomainError unless x is a numpy array of numbers (bool, integer, real
+    or complex); x is neither copied nor converted."""
+    if not isinstance(x, np.ndarray) or x.dtype.kind not in "biufc":
+        got = f"dtype {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
+        raise DomainError(f"{what} must be a numeric numpy array, got {got}")
+
+
 def num_qubits(v: np.ndarray) -> int:
-    """Qubit count of a state vector (length must be a power of two)."""
+    """Qubit count of a state vector: a numeric 1-D array (`require_array`)
+    whose length is a power of two."""
+    require_array(v, "a state")
     size = v.shape[0]
     n = size.bit_length() - 1
     if v.ndim != 1 or size != 1 << n:

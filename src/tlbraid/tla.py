@@ -236,7 +236,12 @@ def jones_pairs(shape: RepShape, p: TLParams,
     """E_i, b_i = A d E_i + A^-1 I and b_i^-1 = A^-1 d E_i + A I as pairs.
 
     E1 = (e1, 0) and E2 = (e2, ab e3) with the blocks of `local_blocks`.
+    An entry of spec that is no numeric 2x2 array or stack (..., 2, 2) of
+    them, such as a name, is resolved (or refused) by `involution_matrix`.
     """
+    spec = tuple(s if isinstance(s, np.ndarray) and s.shape[-2:] == (2, 2)
+                 and s.dtype.kind in "biufc" else involution_matrix(s)
+                 for s in spec)
     if len(spec) != shape.n - 1:
         raise DimensionMismatchError(
             f"need {shape.n - 1} involutions for n={shape.n}, got {len(spec)}"

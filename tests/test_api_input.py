@@ -16,19 +16,23 @@ from hypothesis import strategies as st
 
 from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
                      TLBraidError, UnknownGateError, apply_single_qubit,
-                     basis_state, bell_representation, check_braid_relations,
-                     entanglement_report, evaluate_on_state, gate, ghz_state,
-                     index_to_bits, involution_matrix, jones_representation,
-                     lu_equivalent, measure_qubit, parse, parse_bits,
-                     partial_trace, phase_equivalent, reduced_density,
-                     schmidt_rank, structured_braid_op, tl_params, verify,
-                     vn_entropy)
+                     apply_structured, basis_state, bell_representation,
+                     check_braid_relations, entanglement_report,
+                     evaluate_on_state, gate, ghz_state, index_to_bits,
+                     involution_matrix, involution_spec, jones_pairs,
+                     jones_representation, lu_equivalent, measure_qubit, parse,
+                     parse_bits, partial_trace, phase_equivalent,
+                     reduced_density, schmidt_rank, structured_braid_op,
+                     tl_params, verify, vn_entropy)
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
 NAN_STATE = np.array([NAN, 0, 0, 1], dtype=complex)
 GHZ3 = ghz_state(3)
 GHZ3_RHO = np.outer(GHZ3, GHZ3.conj())
+B21 = structured_braid_op(RepShape(2, 1))
+#: A state given as a list rather than an array
+LIST_STATE = [1, 0, 0, 0]
 
 
 def nan_spec():
@@ -81,6 +85,17 @@ def nan_spec():
     (UnknownGateError, lambda: gate(3)),
     (DimensionMismatchError,
      lambda: check_braid_relations([np.eye(2), np.eye(4)])),
+    lambda: jones_pairs(RepShape(3, 1), tl_params(math.pi / 8), ("X", "Q")),
+    lambda: jones_representation(tl_params(math.pi / 8), RepShape(3, 1),
+                                 ("X", "Q")),
+    lambda: apply_structured(B21, LIST_STATE),
+    lambda: apply_structured(B21, np.array(list("abcd"))),
+    lambda: entanglement_report(LIST_STATE, [1]),
+    lambda: reduced_density(LIST_STATE, [1]),
+    lambda: measure_qubit(LIST_STATE, 1, 0),
+    lambda: partial_trace([[1, 0], [0, 0]], [1]),
+    lambda: vn_entropy([[1, 0], [0, 0]]),
+    lambda: evaluate_on_state(parse("b1"), bell_representation(2), LIST_STATE),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -99,12 +114,30 @@ def nan_spec():
         "braid_word_float_exponent", "entanglement_report_int_subset",
         "lu_equivalent_int_locals", "phase_equivalent_unknown_mode",
         "run_suite_unknown_suite", "gate_int_name",
-        "check_braid_relations_mixed_sizes"])
+        "check_braid_relations_mixed_sizes", "jones_pairs_unknown_name",
+        "jones_representation_unknown_name", "apply_structured_list_state",
+        "apply_structured_text_state", "entanglement_report_list_state",
+        "reduced_density_list_state", "measure_qubit_list_state",
+        "partial_trace_list_matrix", "vn_entropy_list_matrix",
+        "evaluate_on_state_list_state"])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)
     with pytest.raises(error):
         probe()
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("H", " z")])
+def test_jones_pairs_resolve_involution_names(names):
+    # a name in a spec stands for its involution, as in `involution_spec`
+    shape, p = RepShape(3, 2), tl_params(0.3, 1.1)
+    by_name = structured_braid_op(shape, p, names)
+    by_matrix = structured_braid_op(shape, p, involution_spec(names))
+    assert np.array_equal(by_name.dense(), by_matrix.dense())
+    for g, h in zip(jones_representation(p, shape, names).generators,
+                    jones_representation(p, shape,
+                                         involution_spec(names)).generators):
+        assert np.array_equal(g, h)
 
 
 _VALUES = st.recursive(

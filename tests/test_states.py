@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -220,6 +223,22 @@ class TestApplyStructured:
         assert out.dtype == np.complex128
         assert np.array_equal(out, apply_structured(op, basis_state("000")))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("names", ["ixyzixyzi", "hxyzixyzh"],
+                             ids=["monomial", "mixing"])
+    def test_real_and_integer_states_match_their_complex_cast(
+            self, rng, dtype, names):
+        # bit for bit: the pass reads a real or integer amplitude as the
+        # complex128 number it casts to
+        op = structured_braid_op(RepShape(10, 4), params=tl_params(0.3, 1.1),
+                                 spec=involution_spec(names))
+        v = (rng.standard_normal(1 << 10) * 7).astype(dtype)
+        for inverse in (False, True):
+            out = apply_structured(op, v, inverse=inverse)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out, apply_structured(
+                op, v.astype(np.complex128), inverse=inverse))
+
     @settings(max_examples=150, derandomize=True, deadline=None,
               database=None)
     @given(data=st.data())
@@ -271,7 +290,6 @@ class TestKernel:
     @pytest.mark.parametrize("names", [("i", "x", "y", "z") * 5,
                                        ("h", "x", "i", "h") * 5])
     def test_peak_memory_near_twice_the_state(self, rng, names):
-        import tracemalloc
         n = 18
         op = structured_braid_op(RepShape(n, 9), params=tl_params(0.3, 1.1),
                                  spec=involution_spec(names[:n - 1]))
@@ -283,6 +301,110 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.9 * v.nbytes
+
+
+class TestSpreadPass:
+    """States of `_kernels.SPREAD_AMPS` amplitudes or more without a mixing
+    slot on the block axes run the block loop on `_kernels._CORES` threads;
+    three are forced here, so that the spread runs on any machine."""
+
+    N = 22  # 2^22 amplitudes: blocks on the low 16 axes, 6 top axes
+
+    @pytest.fixture(scope="class")
+    def big_state(self):
+        return random_state(np.random.default_rng(22), self.N)
+
+    def op(self, k: int, dressing: str = "monomial"):
+        names = list(("ixyz" * self.N)[:self.N - 1])
+        if dressing == "outer_h":
+            names[0] = "h"      # axis 0, a top axis
+        elif dressing == "inner_h":
+            names[-1] = "h"     # axis 21, a block axis
+        return structured_braid_op(RepShape(self.N, k),
+                                   params=tl_params(0.3, 1.1),
+                                   spec=involution_spec(names))
+
+    @pytest.mark.parametrize("dressing", ["monomial", "outer_h", "inner_h"])
+    @pytest.mark.parametrize("k", [3, 15], ids=["k_top", "k_block"])
+    def test_spread_equals_one_thread(self, big_state, dressing, k):
+        op = self.op(k, dressing)
+        for inverse in (False, True):
+            with mock.patch.object(_kernels, "_CORES", 1):
+                one = apply_structured(op, big_state, inverse=inverse)
+            with mock.patch.object(_kernels, "_CORES", 3):
+                spread = apply_structured(op, big_state, inverse=inverse)
+            assert np.array_equal(spread, one)
+
+    @pytest.mark.parametrize("dressing", ["monomial", "outer_h"])
+    def test_threads_are_started_and_joined(self, big_state, dressing):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        before = threading.active_count()
+        with mock.patch.object(_kernels, "_CORES", 3), \
+                mock.patch.object(threading, "Thread", Counted):
+            apply_structured(self.op(15, dressing), big_state)
+        # two besides the calling thread, per loop (outer H: two loops)
+        assert len(started) == (2 if dressing == "monomial" else 4)
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("case", ["one_core", "below_threshold",
+                                      "inner_h"])
+    def test_one_thread_otherwise(self, big_state, case):
+        cores = 1 if case == "one_core" else 3
+        v = big_state[:big_state.size // 2] if case == "below_threshold" \
+            else big_state
+        n = v.size.bit_length() - 1
+        names = list(("ixyz" * n)[:n - 1])
+        if case == "inner_h":
+            names[-1] = "h"
+        op = structured_braid_op(RepShape(n, 3), spec=involution_spec(names))
+        with mock.patch.object(_kernels, "_CORES", cores), \
+                mock.patch.object(threading, "Thread",
+                                  side_effect=AssertionError("a thread")):
+            apply_structured(op, v)
+
+    def test_a_worker_exception_reaches_the_caller(self):
+        done = []
+
+        def body(parts):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("raised in a worker")
+            done.extend(parts)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="raised in a worker"):
+            _kernels._each_block(64, body, 3)
+        assert threading.active_count() == before
+        assert len(done) == len(set(done)) <= 64
+
+    def test_every_block_is_taken_once(self):
+        # more threads than cores, switching often: a block lost or taken
+        # twice from the shared counter shows in the sorted list
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _kernels._each_block(5000, taken.extend, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(5000))
+
+    def test_peak_memory_is_the_result(self, big_state):
+        # one result array, plus a block-sized temporary per thread
+        with mock.patch.object(_kernels, "_CORES", 3):
+            tracemalloc.start()
+            try:
+                apply_structured(self.op(15, "outer_h"), big_state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.1 * big_state.nbytes
 
 
 class TestGhz:
