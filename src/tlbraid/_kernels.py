@@ -22,14 +22,16 @@ of the state's size: every temporary holds at most a quarter of the state
 and `linalg.BLOCK_AMPS` amplitudes.
 
 Every block is written from its own source block, weights, scale and
-diagonal, so the block loop (and the diagonal pass after outer mixers) is
-spread over the usable cores when the state holds at least `SPREAD_AMPS`
-amplitudes and no mixing slot lies inside the block axes: the calling
-thread and one thread per other core take blocks in turn from a shared
-counter, then join.  Smaller states, and blocks with mixing slots (whose
-per-block contractions contend for the GIL), run the same loop on the
-calling thread.  Each block does the same arithmetic either way, so the
-result does not depend on the number of threads.
+diagonal, so for a dressing with no mixing slot the block loop is spread
+over the usable cores: the calling thread and up to one thread per other
+core take blocks in turn from a shared counter, then join.  There is at
+most one thread per 8 blocks, so the threads' block temporaries together
+hold at most an eighth of the state, and a state of fewer than 16 blocks
+(under 2^20 amplitudes) keeps one thread.  Dressings with a mixing slot
+run the same loop on the calling thread: per-block contractions contend
+for the GIL, and the whole-state passes of outer mixers gained nothing
+below 2^24 amplitudes.  Each block does the same arithmetic either way, so
+the result does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ from . import linalg
 #: Cores this process may run on; the block loop is spread over them
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-#: Amplitudes from which the block loop is spread; the benchmark's smaller
-#: states (amp_mixing, the CLI workloads) keep one thread
-SPREAD_AMPS = 1 << 22
 
 
 def backend() -> str:
@@ -99,7 +98,8 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     blocks, v_blocks = out.reshape(1 << top, -1), v.reshape(1 << top, -1)
     diag = np.array([diag0, diag1], dtype=np.complex128)
     split = (1, 1, -1) if k <= top else (1 << (k - 1 - top), 2, -1)
-    threads = _CORES if v.size >= SPREAD_AMPS and not inner else 1
+    # at most one thread per 8 blocks, each with a block temporary
+    threads = 1 if mixers else min(_CORES, len(blocks) // 8)
 
     def add_diagonal(part: int, tmp: np.ndarray) -> None:
         d = diag[(part >> (top - k)) & 1] if k <= top else diag[:, None]
@@ -119,16 +119,13 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
             if not outer:
                 add_diagonal(part, tmp)
 
-    def diagonal(parts: Iterable[int]) -> None:
-        tmp = np.empty(1 << low, dtype=np.complex128)
-        for part in parts:
-            add_diagonal(part, tmp)
-
     _each_block(len(blocks), fill, threads)
     for pos, m2 in outer:
         linalg.apply_in_place(m2, out, pos)
     if outer:
-        _each_block(len(blocks), diagonal, threads)
+        tmp = np.empty(1 << low, dtype=np.complex128)
+        for part in range(len(blocks)):
+            add_diagonal(part, tmp)
     return out
 
 

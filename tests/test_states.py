@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -304,11 +305,11 @@ class TestKernel:
 
 
 class TestSpreadPass:
-    """States of `_kernels.SPREAD_AMPS` amplitudes or more without a mixing
-    slot on the block axes run the block loop on `_kernels._CORES` threads;
-    three are forced here, so that the spread runs on any machine."""
+    """Dressings with no mixing slot run the block loop on up to
+    `_kernels._CORES` threads, at most one per 8 blocks; the core count is
+    patched here, so that the spread runs on any machine."""
 
-    N = 22  # 2^22 amplitudes: blocks on the low 16 axes, 6 top axes
+    N = 22  # 2^22 amplitudes: blocks on the low 16 axes, 64 blocks
 
     @pytest.fixture(scope="class")
     def big_state(self):
@@ -335,8 +336,9 @@ class TestSpreadPass:
                 spread = apply_structured(op, big_state, inverse=inverse)
             assert np.array_equal(spread, one)
 
-    @pytest.mark.parametrize("dressing", ["monomial", "outer_h"])
-    def test_threads_are_started_and_joined(self, big_state, dressing):
+    @pytest.mark.parametrize("cores", [3, 64, None],
+                             ids=["three", "many", "usable"])
+    def test_threads_are_started_and_joined(self, big_state, cores):
         started = []
 
         class Counted(threading.Thread):
@@ -345,24 +347,33 @@ class TestSpreadPass:
                 super().start()
 
         before = threading.active_count()
-        with mock.patch.object(_kernels, "_CORES", 3), \
+        with mock.patch.object(_kernels, "_CORES", cores or _kernels._CORES), \
                 mock.patch.object(threading, "Thread", Counted):
-            apply_structured(self.op(15, dressing), big_state)
-        # two besides the calling thread, per loop (outer H: two loops)
-        assert len(started) == (2 if dressing == "monomial" else 4)
+            apply_structured(self.op(15), big_state)
+            # one thread per core, and at most one per 8 of the 64 blocks,
+            # the calling thread among them
+            assert len(started) == min(_kernels._CORES, 8) - 1
         assert not any(t.is_alive() for t in started)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("case", ["one_core", "below_threshold",
-                                      "inner_h"])
+    def test_cores_are_the_usable_cores(self):
+        # read at import, so a process started under `taskset -c 0` has 1
+        if hasattr(os, "sched_getaffinity"):
+            assert _kernels._CORES == len(os.sched_getaffinity(0))
+        assert _kernels._CORES >= 1
+
+    @pytest.mark.parametrize("case", ["one_core", "few_blocks", "inner_h",
+                                      "outer_h"])
     def test_one_thread_otherwise(self, big_state, case):
-        cores = 1 if case == "one_core" else 3
-        v = big_state[:big_state.size // 2] if case == "below_threshold" \
-            else big_state
+        cores = 1 if case == "one_core" else 64
+        # 2^19 amplitudes: 8 blocks
+        v = big_state[:1 << 19] if case == "few_blocks" else big_state
         n = v.size.bit_length() - 1
         names = list(("ixyz" * n)[:n - 1])
         if case == "inner_h":
             names[-1] = "h"
+        elif case == "outer_h":
+            names[0] = "h"
         op = structured_braid_op(RepShape(n, 3), spec=involution_spec(names))
         with mock.patch.object(_kernels, "_CORES", cores), \
                 mock.patch.object(threading, "Thread",
@@ -395,16 +406,22 @@ class TestSpreadPass:
             sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(5000))
 
-    def test_peak_memory_is_the_result(self, big_state):
-        # one result array, plus a block-sized temporary per thread
-        with mock.patch.object(_kernels, "_CORES", 3):
+    @pytest.mark.parametrize("dressing, cores, bound",
+                             [("monomial", 3, 1.1), ("monomial", 64, 1.2),
+                              ("outer_h", 64, 1.1)])
+    def test_peak_memory_is_the_result(self, big_state, dressing, cores,
+                                       bound):
+        # one result array, plus a 1 MiB block temporary per thread: 3, or
+        # 8 for the 64 blocks however many cores there are (1.16x here;
+        # one thread per core would make it 2x)
+        with mock.patch.object(_kernels, "_CORES", cores):
             tracemalloc.start()
             try:
-                apply_structured(self.op(15, "outer_h"), big_state)
+                apply_structured(self.op(15, dressing), big_state)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak <= 1.1 * big_state.nbytes
+        assert peak <= bound * big_state.nbytes
 
 
 class TestGhz:
