@@ -13,10 +13,10 @@ matrix.  Every dressing goes through the axis-wise kernel in `_kernels`:
 monomial slots (I and the Paulis) scale and flip their qubit axis, and slots
 that mix basis states (e.g. the Hadamard involution) are contracted with
 their 2x2, in place in the result.  The result is the one state-sized array
-a pass allocates; its other temporaries are bounded blocks.  From 2^22
-amplitudes the kernel writes its blocks on every usable core unless a
-mixing slot lies on the block qubits (see `_kernels`); the result is the
-same, bit for bit, on any number of threads.
+a pass allocates; its other temporaries are bounded blocks.  For a
+dressing with no mixing slot, from 2^20 amplitudes, the kernel writes its
+blocks on the usable cores, one thread per 8 blocks at most (see
+`_kernels`); the result is the same, bit for bit, on any number of threads.
 """
 
 from __future__ import annotations
