@@ -23,31 +23,28 @@ and `linalg.BLOCK_AMPS` amplitudes.
 
 Every block is written from its own source block, weights, scale and
 diagonal, so for a dressing with no mixing slot the block loop is spread
-over the usable cores: the calling thread and up to one thread per other
-core take blocks in turn from a shared counter, then join.  There is at
-most one thread per 8 blocks, so the threads' block temporaries together
-hold at most an eighth of the state, and a state of fewer than 16 blocks
-(under 2^20 amplitudes) keeps one thread.  Dressings with a mixing slot
-run the same loop on the calling thread: per-block contractions contend
-for the GIL, and the whole-state passes of outer mixers gained nothing
-below 2^24 amplitudes.  Each block does the same arithmetic either way, so
-the result does not depend on the number of threads.
+over the usable cores by `linalg._each_block`: the calling thread and up
+to one thread per other core take blocks in turn from a shared counter,
+then join.  There is at most one thread per 8 blocks, so the threads' block
+temporaries together hold at most an eighth of the state, and a state of
+fewer than 16 blocks (under 2^20 amplitudes) keeps one thread.  Dressings
+with a mixing slot run the same loop on the calling thread.  Spread, an
+inner mixer on the last block axes loses: `apply_in_place` contracts it by
+one matmul over rows of up to 32 amplitudes, and OpenBLAS's own thread
+pool then competes with the block threads (held to one BLAS thread, every
+mixer position gains).  The whole-state passes of outer mixers gained
+nothing below 2^24 amplitudes.  Each block does the same arithmetic either
+way, so the result does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-
-#: Cores this process may run on; the block loop is spread over them
-_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
 
 
 def backend() -> str:
@@ -99,7 +96,7 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     diag = np.array([diag0, diag1], dtype=np.complex128)
     split = (1, 1, -1) if k <= top else (1 << (k - 1 - top), 2, -1)
     # at most one thread per 8 blocks, each with a block temporary
-    threads = 1 if mixers else min(_CORES, len(blocks) // 8)
+    threads = 1 if mixers else min(linalg._CORES, len(blocks) // 8)
 
     def add_diagonal(part: int, tmp: np.ndarray) -> None:
         d = diag[(part >> (top - k)) & 1] if k <= top else diag[:, None]
@@ -119,7 +116,7 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
             if not outer:
                 add_diagonal(part, tmp)
 
-    _each_block(len(blocks), fill, threads)
+    linalg._each_block(len(blocks), fill, threads)
     for pos, m2 in outer:
         linalg.apply_in_place(m2, out, pos)
     if outer:
@@ -128,44 +125,3 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
             add_diagonal(part, tmp)
     return out
 
-
-def _each_block(count: int, body: Callable[[Iterable[int]], None],
-                threads: int) -> None:
-    """body(parts) over the block indices 0..count-1.
-
-    With one thread, body gets them all in order.  Otherwise the calling
-    thread and threads - 1 others each run body on a share of the blocks,
-    taken one at a time from a shared counter, and all are joined before
-    this returns; the first exception raised in any of them is raised here.
-    """
-    if threads <= 1:
-        body(range(count))
-        return
-    counter, lock, errors = iter(range(count)), threading.Lock(), []
-
-    def parts():
-        while not errors:
-            with lock:
-                part = next(counter, None)
-            if part is None:
-                return
-            yield part
-
-    def work() -> None:
-        try:
-            body(parts())
-        except BaseException as exc:    # re-raised in the calling thread
-            errors.append(exc)
-
-    started = []
-    try:
-        for _ in range(min(threads, count) - 1):
-            worker = threading.Thread(target=work)
-            worker.start()
-            started.append(worker)
-        work()
-    finally:
-        for worker in started:
-            worker.join()
-    if errors:
-        raise errors[0]

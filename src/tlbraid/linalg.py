@@ -14,7 +14,9 @@ Conventions used throughout the package:
     (DENSE_CAP_DIM) entries per matrix and per stack where they are asked
     for (`braidlang.evaluate`, a representation's `.generators`,
     `tla.tl_projectors`); braid words act on states of any size up to the
-    structured cap of `states` without them.
+    structured cap of `states` without them,
+  * work split into independent parts (the amplitude pass's blocks, the
+    verify grid's slices) runs on the usable cores through `_each_block`.
 
 JSON interchange: a state is {"n_qubits", "amplitudes"}, each amplitude a
 two-element [re, im] list, bare or held under "state" as in the CLI's JSON
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
+import os
+import threading
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -37,6 +41,10 @@ DENSE_CAP_DIM = 2**DENSE_CAP_QUBITS
 BLOCK_AMPS = 1 << 16
 #: Widest rows on which `apply_in_place` applies m x I in one matmul
 _ROWS = 32
+#: Cores this process may run on, read at import; `_each_block` spreads
+#: over at most this many threads
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 def require_finite(arr: np.ndarray) -> None:
@@ -169,6 +177,49 @@ def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
     out = np.array(v, dtype=np.complex128)
     apply_in_place(m2, out, pos)
     return out
+
+
+def _each_block(count: int, body: Callable[[Iterable[int]], None],
+                threads: int) -> None:
+    """body(parts) over the indices 0..count-1 of independent blocks of work.
+
+    With one thread, body gets them all in order.  Otherwise the calling
+    thread and threads - 1 others each run body on a share of the blocks,
+    taken one at a time from a shared counter, and all are joined before
+    this returns; the first exception raised in any of them is raised here.
+    Callers choose threads from `_CORES` and their block count.
+    """
+    if threads <= 1:
+        body(range(count))
+        return
+    counter, lock, errors = iter(range(count)), threading.Lock(), []
+
+    def parts():
+        while not errors:
+            with lock:
+                part = next(counter, None)
+            if part is None:
+                return
+            yield part
+
+    def work() -> None:
+        try:
+            body(parts())
+        except BaseException as exc:    # re-raised in the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(min(threads, count) - 1):
+            worker = threading.Thread(target=work)
+            worker.start()
+            started.append(worker)
+        work()
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def norm(v: np.ndarray) -> float:

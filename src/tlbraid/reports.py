@@ -10,6 +10,7 @@ the worst was in `worst_at` and the sweep's point count in `instances`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,7 +80,7 @@ class ReportAccumulator:
 
     def __init__(self, tol: float):
         self.tol = tol
-        self._worst: dict[str, tuple[float, int, str]] = {}
+        self._worst: dict[str, tuple[tuple, float, str]] = {}
         self.points = 0
 
     def add(self, name: str, residuals, label: Callable[[int], str],
@@ -87,17 +88,20 @@ class ReportAccumulator:
         """Fold one residual per point; a scalar stands for every point.
 
         `positions` holds the points' ascending places in the sweep order.
-        The largest residual wins and ties go to the earliest place, so the
-        fold does not depend on how the sweep is cut into arrays.  label(i)
-        names the i-th point; it is called only for a new worst point.
+        NaN ranks above every number, then the largest residual wins, and
+        ties (NaN against NaN too) go to the earliest place, so the fold
+        depends neither on how the sweep is cut into arrays nor on the
+        order the arrays come in.  label(i) names the i-th point; it is
+        called only for a new worst point.
         """
         r = np.broadcast_to(residuals, (len(positions),))
-        i = int(np.argmax(r))
+        i = int(np.argmax(r))           # the first NaN, if there is one
         residual, at = float(r[i]), positions[i]
+        nan = math.isnan(residual)
+        rank = (nan, 0.0 if nan else residual, -at)
         worst = self._worst.get(name)
-        if worst is None or residual > worst[0] or \
-                (residual == worst[0] and at < worst[1]):
-            self._worst[name] = (residual, at, label(i))
+        if worst is None or rank > worst[0]:
+            self._worst[name] = (rank, residual, label(i))
 
     def add_point(self, count: int) -> None:
         self.points += count
@@ -111,6 +115,6 @@ class ReportAccumulator:
                 instances=self.points,
                 worst_at=where,
             )
-            for name, (residual, _, where) in sorted(self._worst.items())
+            for name, (_, residual, where) in sorted(self._worst.items())
         )
         return RelationReport(checks=checks, tol=self.tol, note=note)

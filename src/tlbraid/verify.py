@@ -13,15 +13,24 @@ float standing for every point.  Suites fold them into one RelationReport:
 the max per relation, at its first point in n -> k -> names -> phi -> theta
 order.  A grid with more matrix work (points x dim^3) than the standard
 grid is refused before anything is built.
+
+The grid suites check their slices on the usable cores: the calling thread
+and up to GRID_THREADS - 1 others take slices from a shared counter (see
+`linalg._each_block`), at most one thread per 8 slices, so `--n 1` keeps one
+thread.  Capping the threads, not the cores, bounds the memory: each
+thread holds one slice's stacks and their products at a time, and the
+report is the same, bit for bit, on any number of threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .braidrep import (bell_matrix, bell_representation, check_braid_relations,
                        check_yang_baxter, generator_power_identity,
                        jones_representation)
@@ -43,6 +52,8 @@ GRID_NS: tuple[int, ...] = (1, 2, 3, 4, 5)
 #: Most bytes in one stack of grid matrices: the 625 at n = 5 come in
 #: chunks of 32, an n <= 4 slice in one.
 GRID_CHUNK_BYTES = 1 << 19
+#: Most threads a grid suite checks its slices on, whatever the core count
+GRID_THREADS = 8
 
 
 def _slots(n: int, ks: Optional[Sequence[int]]) -> Sequence[int]:
@@ -125,12 +136,6 @@ def iter_grid(theta=None, phi=None, n=None, k=None, s=None,
             first += c0 * per_name
 
 
-def _grid_report(acc: ReportAccumulator) -> RelationReport:
-    if not acc.points:
-        raise DomainError("the grid selection is empty")
-    return acc.report(note=f"{acc.points} grid points")
-
-
 def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
     """Fold one slice's (name, residuals) pairs into the accumulator."""
     op = grid.pairs.projectors[0]
@@ -146,30 +151,61 @@ def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:
     acc.add_point(len(names))
 
 
+def _spread(tol: float, keys: dict, check) -> RelationReport:
+    """Fold check(slice), the (name, residuals) pairs of one slice, over
+    every slice of the grid the `iter_grid` keys select.
+
+    The slices are checked on up to GRID_THREADS of the usable cores, at
+    most one thread per 8 slices, and folded under a lock; the fold ignores
+    order, so the report does not depend on the number of threads.  A
+    thread holds one slice's matrices at a time: stacks of at most
+    GRID_CHUNK_BYTES (or of one matrix, where that is larger) and their
+    products, under 6 such stacks in all.  So the in-flight matrices of all
+    threads stay under GRID_THREADS x 6 stacks, 24 MiB for n <= 7, on any
+    core count.  The slices themselves, built first, hold only 2x2 blocks
+    (about 4 KiB each, 5 MiB for the standard grid).
+    """
+    slices = list(iter_grid(**keys))
+    acc, lock = ReportAccumulator(tol), threading.Lock()
+
+    def body(parts) -> None:
+        for i in parts:
+            named = check(slices[i])
+            with lock:
+                _fold(acc, slices[i], named)
+
+    threads = min(linalg._CORES, len(slices) // 8, GRID_THREADS)
+    linalg._each_block(len(slices), body, threads)
+    if not acc.points:
+        raise DomainError("the grid selection is empty")
+    return acc.report(note=f"{acc.points} grid points")
+
+
+def _tl_residuals(grid: GridSlice):
+    E1, E2 = (op.dense() for op in grid.pairs.projectors)
+    return check_tl_relations(E1, E2, grid.pairs.projectors[0].params)
+
+
+def _braid_residuals(grid: GridSlice):
+    gens = [b.dense() for b in grid.pairs.generators]
+    invs = [b.dense() for b in grid.pairs.inverses]
+    eye = np.eye(gens[0].shape[-1])
+    return check_braid_relations(gens) + [
+        (f"inverse_b{i}", max_abs(b @ b_inv - eye))
+        for i, (b, b_inv) in enumerate(zip(gens, invs), start=1)
+    ]
+
+
 def run_tla_suite(tol: float, **keys) -> RelationReport:
     """Temperley-Lieb relations (projector and h-form) across the grid,
     restricted by the `iter_grid` keys given."""
-    acc = ReportAccumulator(tol)
-    for grid in iter_grid(**keys):
-        E1, E2 = (op.dense() for op in grid.pairs.projectors)
-        p = grid.pairs.projectors[0].params
-        _fold(acc, grid, check_tl_relations(E1, E2, p))
-    return _grid_report(acc)
+    return _spread(tol, keys, _tl_residuals)
 
 
 def run_braid_suite(tol: float, **keys) -> RelationReport:
     """Braid relation, unitarity, and inverse checks across the grid,
     restricted by the `iter_grid` keys given."""
-    acc = ReportAccumulator(tol)
-    for grid in iter_grid(**keys):
-        gens = [b.dense() for b in grid.pairs.generators]
-        invs = [b.dense() for b in grid.pairs.inverses]
-        eye = np.eye(gens[0].shape[-1])
-        _fold(acc, grid, check_braid_relations(gens) + [
-            (f"inverse_b{i}", max_abs(b @ b_inv - eye))
-            for i, (b, b_inv) in enumerate(zip(gens, invs), start=1)
-        ])
-    return _grid_report(acc)
+    return _spread(tol, keys, _braid_residuals)
 
 
 def run_ybe_suite(tol: float) -> RelationReport:

@@ -306,7 +306,7 @@ class TestKernel:
 
 class TestSpreadPass:
     """Dressings with no mixing slot run the block loop on up to
-    `_kernels._CORES` threads, at most one per 8 blocks; the core count is
+    `linalg._CORES` threads, at most one per 8 blocks; the core count is
     patched here, so that the spread runs on any machine."""
 
     N = 22  # 2^22 amplitudes: blocks on the low 16 axes, 64 blocks
@@ -330,9 +330,9 @@ class TestSpreadPass:
     def test_spread_equals_one_thread(self, big_state, dressing, k):
         op = self.op(k, dressing)
         for inverse in (False, True):
-            with mock.patch.object(_kernels, "_CORES", 1):
+            with mock.patch.object(linalg, "_CORES", 1):
                 one = apply_structured(op, big_state, inverse=inverse)
-            with mock.patch.object(_kernels, "_CORES", 3):
+            with mock.patch.object(linalg, "_CORES", 3):
                 spread = apply_structured(op, big_state, inverse=inverse)
             assert np.array_equal(spread, one)
 
@@ -347,20 +347,20 @@ class TestSpreadPass:
                 super().start()
 
         before = threading.active_count()
-        with mock.patch.object(_kernels, "_CORES", cores or _kernels._CORES), \
+        with mock.patch.object(linalg, "_CORES", cores or linalg._CORES), \
                 mock.patch.object(threading, "Thread", Counted):
             apply_structured(self.op(15), big_state)
             # one thread per core, and at most one per 8 of the 64 blocks,
             # the calling thread among them
-            assert len(started) == min(_kernels._CORES, 8) - 1
+            assert len(started) == min(linalg._CORES, 8) - 1
         assert not any(t.is_alive() for t in started)
         assert threading.active_count() == before
 
     def test_cores_are_the_usable_cores(self):
         # read at import, so a process started under `taskset -c 0` has 1
         if hasattr(os, "sched_getaffinity"):
-            assert _kernels._CORES == len(os.sched_getaffinity(0))
-        assert _kernels._CORES >= 1
+            assert linalg._CORES == len(os.sched_getaffinity(0))
+        assert linalg._CORES >= 1
 
     @pytest.mark.parametrize("case", ["one_core", "few_blocks", "inner_h",
                                       "outer_h"])
@@ -375,7 +375,7 @@ class TestSpreadPass:
         elif case == "outer_h":
             names[0] = "h"
         op = structured_braid_op(RepShape(n, 3), spec=involution_spec(names))
-        with mock.patch.object(_kernels, "_CORES", cores), \
+        with mock.patch.object(linalg, "_CORES", cores), \
                 mock.patch.object(threading, "Thread",
                                   side_effect=AssertionError("a thread")):
             apply_structured(op, v)
@@ -390,7 +390,7 @@ class TestSpreadPass:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="raised in a worker"):
-            _kernels._each_block(64, body, 3)
+            linalg._each_block(64, body, 3)
         assert threading.active_count() == before
         assert len(done) == len(set(done)) <= 64
 
@@ -401,7 +401,7 @@ class TestSpreadPass:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _kernels._each_block(5000, taken.extend, 8)
+            linalg._each_block(5000, taken.extend, 8)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(5000))
@@ -414,7 +414,7 @@ class TestSpreadPass:
         # one result array, plus a 1 MiB block temporary per thread: 3, or
         # 8 for the 64 blocks however many cores there are (1.16x here;
         # one thread per core would make it 2x)
-        with mock.patch.object(_kernels, "_CORES", cores):
+        with mock.patch.object(linalg, "_CORES", cores):
             tracemalloc.start()
             try:
                 apply_structured(self.op(15, dressing), big_state)

@@ -1,4 +1,9 @@
 import itertools
+import json
+import sys
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +11,11 @@ import pytest
 from tlbraid import (RelationCheck, RelationReport, RepShape,
                      check_tl_relations, dagger, jones_representation,
                      max_abs, tl_params, tl_projectors)
-from tlbraid import verify
+from tlbraid import DomainError, linalg, verify
 from tlbraid.reports import ReportAccumulator
 from tlbraid.tla import involution_spec
-from tlbraid.verify import (GRID_INVOLUTIONS, GRID_PHIS, GRID_THETAS,
+from tlbraid.verify import (GRID_CHUNK_BYTES, GRID_INVOLUTIONS, GRID_PHIS,
+                            GRID_THETAS, GRID_THREADS,
                             iter_grid, run_braid_suite, run_cnot_suite,
                             run_powers_suite, run_suite, run_tla_suite,
                             run_ybe_suite)
@@ -240,3 +246,125 @@ def test_run_suite_keeps_a_zero_tol():
 
 def test_powers_suite_checks_at_its_tol():
     assert not run_powers_suite(tol=1e-20).passed
+
+
+def test_a_nan_in_any_chunk_fails_the_report_whatever_the_order():
+    chunks = [(np.array([1e-16, 2e-16]), range(0, 2)),
+              (np.array([np.nan, 0.0]), range(2, 4)),
+              (np.array([3e-16, np.nan]), range(4, 6)),
+              (1e-15, range(6, 8))]
+    reports = set()
+    for order in itertools.permutations(chunks):
+        acc = ReportAccumulator(tol=1e-10)
+        for residuals, positions in order:
+            acc.add("r", residuals, lambda i, p=positions: f"at {p[i]}",
+                    positions)
+        acc.add_point(8)
+        report = acc.report()
+        assert not report.passed
+        reports.add(json.dumps(report.to_json()))
+    # NaN outranks every number, and the earliest NaN is the worst point
+    assert len(reports) == 1
+    check, = json.loads(reports.pop(), parse_constant=float)["relations"]
+    assert np.isnan(check["max_residual"]) and check["worst_at"] == "at 2"
+
+
+class TestSpreadSuites:
+    """The grid suites check their slices on up to GRID_THREADS threads, at
+    most one per 8 slices; the core count is patched here, so that the
+    spread runs on any machine."""
+
+    @staticmethod
+    def started_threads(monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("keys", [{"n": 4}, {"n": 5, "k": 3, "phi": 0.0}],
+                             ids=["n4", "n5_slice"])
+    def test_reports_do_not_depend_on_the_cores(self, keys):
+        # more threads than cores, switching often: a fold lost or taken
+        # twice shows in the instance counts and the worst points
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cores in (1, 3, 64):
+                with mock.patch.object(linalg, "_CORES", cores):
+                    outs.append(json.dumps({
+                        name: report.to_json()
+                        for name, report in run_suite("all", **keys).items()}))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("cores, keys, threads", [
+        (3, {"n": 4}, 3),           # 40 slices a suite: one core each
+        (64, {"n": 4}, 5),          # one thread per 8 slices
+        (64, {"n": 5, "k": 3, "phi": 0.0}, GRID_THREADS),   # 100 slices
+    ])
+    def test_threads_are_started_and_joined(self, monkeypatch, cores, keys,
+                                            threads):
+        started = self.started_threads(monkeypatch)
+        before = threading.active_count()
+        with mock.patch.object(linalg, "_CORES", cores):
+            run_tla_suite(1e-10, **keys)
+        assert len(started) == threads - 1
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores, keys", [(1, {"n": 4}),
+                                             (64, {"n": 1}),
+                                             (64, {"n": 3, "phi": 0.0})],
+                             ids=["one_core", "10_slices", "15_slices"])
+    def test_one_thread_otherwise(self, cores, keys):
+        with mock.patch.object(linalg, "_CORES", cores), \
+                mock.patch.object(threading, "Thread",
+                                  side_effect=AssertionError("a thread")):
+            run_suite("all", **keys)
+
+    def test_threads_follow_the_usable_cores(self, monkeypatch):
+        # the real core count, read at import: no thread under `taskset -c 0`
+        started = self.started_threads(monkeypatch)
+        run_braid_suite(1e-10, n=4)
+        assert len(started) == min(linalg._CORES, 5, GRID_THREADS) - 1
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        raised = threading.Event()
+        check = verify._tl_residuals
+
+        def failing(grid):
+            if threading.current_thread() is threading.main_thread():
+                raised.wait(10.0)   # leave the slices to the worker
+                return check(grid)
+            raised.set()
+            raise DomainError("raised in a worker")
+
+        monkeypatch.setattr(verify, "_tl_residuals", failing)
+        before = threading.active_count()
+        with mock.patch.object(linalg, "_CORES", 2), \
+                pytest.raises(DomainError, match="raised in a worker"):
+            run_tla_suite(1e-10, n=4)
+        assert raised.is_set()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("suite", [run_tla_suite, run_braid_suite],
+                             ids=["tla", "braid"])
+    def test_peak_memory_is_bounded_on_any_core_count(self, suite):
+        # the bound of `verify._spread`: under 6 stacks of GRID_CHUNK_BYTES
+        # a thread, and at most GRID_THREADS threads (one per core would be
+        # 25 threads for these 200 slices)
+        with mock.patch.object(linalg, "_CORES", 64):
+            tracemalloc.start()
+            try:
+                suite(1e-10, n=5, k=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= GRID_THREADS * 6 * GRID_CHUNK_BYTES
