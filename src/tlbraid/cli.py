@@ -29,7 +29,7 @@ from .braidrep import bell_representation, jones_representation
 from .entangle import entanglement_report, measure_qubit, nonzero_support
 from .errors import DomainError, TLBraidError
 from .linalg import num_qubits, state_from_json, state_to_json
-from .states import (apply_structured, basis_state, cluster_like_state,
+from .states import (apply_to_basis, basis_state, cluster_like_state,
                      ghz_state, parse_bits, structured_braid_op)
 from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
                   tl_params)
@@ -163,6 +163,22 @@ def _reads(args: argparse.Namespace) -> tuple[str, set[str]]:
     return name, {"format", "out"}.union(*(READS[p] for p in parts))
 
 
+def _unread_flags(args: argparse.Namespace) -> list[str]:
+    """The command's own flags that were given but would not be read:
+    --state outside basis-superpose, --inverse on cluster, and --outcome
+    without --measure."""
+    unread = []
+    if args.command == "generate":
+        if args.state is not None and args.kind != "basis-superpose":
+            unread.append("--state")
+        if args.inverse and args.kind == "cluster":
+            unread.append("--inverse")
+    if args.command == "entropy" and args.outcome is not None \
+            and args.measure is None:
+        unread.append("--outcome without --measure")
+    return unread
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     hints = get_type_hints(RunConfig)
@@ -191,6 +207,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     name, reads = _reads(args)
     if given - reads:
         raise DomainError(f"{name} does not read {sorted(given - reads)}")
+    unread = _unread_flags(args)
+    if unread:
+        raise DomainError(f"{name} does not read {', '.join(unread)}")
     cfg.params()    # reject out-of-domain theta at load time
     if cfg.tol is not None and not 0 <= cfg.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {cfg.tol}")
@@ -317,7 +336,7 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
         k = cfg.k if cfg.k is not None else 1
         shape = RepShape(n=n, k=k)
         op = structured_braid_op(shape, params=params, spec=cfg.spec_for(shape))
-        v = apply_structured(op, basis_state(bits), inverse=inverse)
+        v = apply_to_basis(op, bits, inverse=inverse)
     _emit(cfg, {"kind": kind}, [], v, _cut_reports(v, k, tol))
     return 0
 
@@ -340,12 +359,13 @@ def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
 
 
 def cmd_entropy(cfg: RunConfig, state: str, cut: Optional[str],
-                measure: Optional[int], outcome: int) -> int:
+                measure: Optional[int], outcome: Optional[int]) -> int:
     v = _load_state(state)
     tol = cfg.tol if cfg.tol is not None else 1e-9
     fields: dict = {}
     header = []
     if measure is not None:
+        outcome = outcome or 0
         prob, v = measure_qubit(v, measure, outcome)
         fields["measurement"] = {
             "qubit": measure, "outcome": outcome, "probability": prob,
@@ -421,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of qubits to keep, e.g. 2,3")
     p_ent.add_argument("--measure", type=int, default=None,
                        help="measure this qubit before reporting")
-    p_ent.add_argument("--outcome", type=int, choices=(0, 1), default=0)
+    p_ent.add_argument("--outcome", type=int, choices=(0, 1), default=None,
+                       help="the outcome to keep (default 0); needs --measure")
     return parser
 
 

@@ -15,6 +15,7 @@ whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -126,6 +127,18 @@ def nonzero_support(v: np.ndarray) -> Optional[np.ndarray]:
     return np.flatnonzero(v) if np.count_nonzero(v) < v.size else None
 
 
+def _packed_bits(index: np.ndarray, n: int, qubits) -> np.ndarray:
+    """The bits of each n-qubit index at the sorted `qubits`, packed in
+    their order (the first most significant): one shift and mask per run
+    of adjacent qubits."""
+    key = np.zeros_like(index)
+    for _, run in groupby(enumerate(qubits), lambda pair: pair[1] - pair[0]):
+        run = [q for _, q in run]
+        key <<= len(run)
+        key |= (index >> (n - run[-1])) & ((1 << len(run)) - 1)
+    return key
+
+
 def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
                           support: Optional[np.ndarray] = None) -> np.ndarray:
     """Singular values of the amplitudes reshaped to a validated cut.
@@ -140,12 +153,9 @@ def _schmidt_coefficients(v: np.ndarray, keep: tuple[int, ...],
         m = _cut_matrix(v, keep)
     else:
         n = num_qubits(v)
-        bits = np.unravel_index(support, (2,) * n)
         rest = [q for q in range(1, n + 1) if q not in keep]
         (rows, at_row), (cols, at_col) = (
-            np.unique(np.ravel_multi_index([bits[q - 1] for q in side],
-                                           (2,) * len(side)),
-                      return_inverse=True)
+            np.unique(_packed_bits(support, n, side), return_inverse=True)
             for side in (keep, rest))
         m = np.zeros((rows.size, cols.size), np.complex128)
         m[at_row, at_col] = v[support]

@@ -9,14 +9,26 @@ and the pair product gives D = diag(d a^2, d b^2 + A^-2) and antidiagonal
 F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a basis
 state it therefore produces at most two terms, and acting on an arbitrary
 state it needs one linear pass over the amplitudes instead of a 2^n x 2^n
-matrix.  Every dressing goes through the axis-wise kernel in `_kernels`:
-monomial slots (I and the Paulis) scale and flip their qubit axis, and slots
-that mix basis states (e.g. the Hadamard involution) are contracted with
-their 2x2, in place in the result.  The result is the one state-sized array
-a pass allocates; its other temporaries are bounded blocks.  For a
-dressing with no mixing slot, from 2^20 amplitudes, the kernel writes its
-blocks on the usable cores, one thread per 8 blocks at most (see
-`_kernels`); the result is the same, bit for bit, on any number of threads.
+matrix.  Both forms read one per-slot table (`_slot_table`): the
+coefficients each slot's source bit picks up, the slots that flip their
+bit, the slots that mix basis states, and the slot-k diagonal.
+
+States built from basis states (`ghz_state`, `cluster_like_state`,
+`cluster_family`, `apply_to_basis`) go term by term (`_apply_terms`): each
+term gives its diagonal term and one chain term, which each mixing slot
+splits in two, so a basis state with m mixing slots gives at most
+2^m + 1 terms at O(m) work each, never more work than the pass.  The terms
+are added into one zero state, which is the only state-sized array.
+
+`apply_structured` runs the pass on any state through the axis-wise kernel
+in `_kernels`: monomial slots (I and the Paulis) scale and flip their qubit
+axis, and slots that mix basis states (e.g. the Hadamard involution) are
+contracted with their 2x2, in place in the result.  The result is the one
+state-sized array a pass allocates; its other temporaries are bounded
+blocks.  For a dressing with no mixing slot, from 2^20 amplitudes, the
+kernel writes its blocks on the usable cores, one thread per 8 blocks at
+most (see `_kernels`); the result is the same, bit for bit, on any number
+of threads.
 """
 
 from __future__ import annotations
@@ -119,15 +131,13 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     return op
 
 
-def apply_structured(op: StructuredBraidOp, v: np.ndarray,
-                     inverse: bool = False) -> np.ndarray:
-    """Apply a slot-chain operator (or its adjoint) in one pass over the
-    amplitudes of a numeric state; the result is complex128."""
+def _slot_table(op: StructuredBraidOp, inverse: bool = False):
+    """The per-slot table of a slot-chain operator (or of its adjoint), as
+    `_kernels.gather_pass` takes it after the state: the (n, 2) coefficients
+    picked up by source bit 0/1, whether each slot flips its bit, the
+    (axis, 2x2) of the slots that mix basis states (their rows are (1, 1)),
+    k, and the slot-k diagonal d(0), d(1)."""
     n, k = op.shape.n, op.shape.k
-    if num_qubits(v) != n:
-        raise DimensionMismatchError(
-            f"state has {num_qubits(v)} qubits, operator acts on {n}"
-        )
     if inverse:
         op = op.dagger()
     p, q = op.diag_block, op.offdiag_block
@@ -144,41 +154,128 @@ def apply_structured(op: StructuredBraidOp, v: np.ndarray,
             mixers.append((axis, m2))
         flips.append(parts[0])
         coeffs[axis] = parts[1:]
-    return _kernels.gather_pass(v, coeffs, flips, mixers, k,
-                                complex(p[0, 0]), complex(p[1, 1]))
+    return coeffs, flips, mixers, k, complex(p[0, 0]), complex(p[1, 1])
+
+
+def apply_structured(op: StructuredBraidOp, v: np.ndarray,
+                     inverse: bool = False) -> np.ndarray:
+    """Apply a slot-chain operator (or its adjoint) in one pass over the
+    amplitudes of a numeric state; the result is complex128."""
+    n = op.shape.n
+    if num_qubits(v) != n:
+        raise DimensionMismatchError(
+            f"state has {num_qubits(v)} qubits, operator acts on {n}"
+        )
+    return _kernels.gather_pass(v, *_slot_table(op, inverse))
+
+
+def _apply_terms(op: StructuredBraidOp, idx, amps, inverse: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The terms (indices, amplitudes) of op (or its adjoint) applied to
+    sum_i amps[i] |idx[i]>, without a state-sized array.
+
+    Each input term gives its diagonal term d(x_k) amp at idx and a chain
+    term at idx ^ (the flipping slots), whose coefficient is folded as the
+    pass folds it (low block axes, then top axes); each mixing slot splits
+    every chain term in two by its 2x2 column.  So m input terms give
+    m (1 + 2^mixers) terms, output term j coming from input term j mod m.
+    Terms are never merged: an index may repeat, and `_scatter` adds them.
+    """
+    coeffs, flips, mixers, k, diag0, diag1 = _slot_table(op, inverse)
+    n = len(flips)
+    idx = np.asarray(idx, dtype=np.int64)
+    amps = np.asarray(amps, dtype=np.complex128)
+    m = idx.size
+
+    def fold(axes) -> np.ndarray:
+        c = np.ones(m, dtype=np.complex128)
+        for axis in axes:
+            c *= coeffs[axis, (idx >> (n - 1 - axis)) & 1]
+        return c
+
+    top = n - _kernels.low_axes(n)
+    flipmask = sum(1 << (n - 1 - axis) for axis, flip in enumerate(flips) if flip)
+    out_idx = np.empty(m + (m << len(mixers)), dtype=np.int64)
+    out_amps = np.empty(out_idx.size, dtype=np.complex128)
+    out_idx[:m] = idx
+    np.multiply(amps, np.where((idx >> (n - k)) & 1, diag1, diag0),
+                out=out_amps[:m])
+    chain_idx, chain = out_idx[m:], out_amps[m:]
+    chain_idx[:m] = idx ^ flipmask
+    chain[:m] = amps * fold(range(top, n)) * fold(range(top))
+    size = m
+    for axis, m2 in mixers:
+        bit = 1 << (n - 1 - axis)
+        x = (chain_idx[:size] & bit) != 0
+        chain_idx[size:2 * size] = chain_idx[:size] | bit
+        chain_idx[:size] &= ~bit
+        chain[size:2 * size] = chain[:size] * np.where(x, m2[1, 1], m2[1, 0])
+        chain[:size] *= np.where(x, m2[0, 1], m2[0, 0])
+        size *= 2
+    return out_idx, out_amps
+
+
+def _scatter(n: int, idx: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The n-qubit state sum_i amps[i] |idx[i]>, repeated indices added."""
+    out = np.zeros(1 << n, dtype=np.complex128)
+    np.add.at(out, idx, amps)
+    return out
+
+
+def apply_to_basis(op: StructuredBraidOp, bits: Bits,
+                   inverse: bool = False) -> np.ndarray:
+    """op|bits> (or its adjoint on |bits>), built from its at most
+    1 + 2^(mixing slots) terms; the one state-sized array is the result."""
+    bits = parse_bits(bits)
+    n = op.shape.n
+    if len(bits) != n:
+        raise DimensionMismatchError(
+            f"state has {len(bits)} qubits, operator acts on {n}")
+    terms = _apply_terms(op, [bits_to_index(bits)], [1.0], inverse)
+    return _scatter(n, *terms)
 
 
 def ghz_state(n: int, params: Optional[TLParams] = None,
               use_inverse: bool = False) -> np.ndarray:
-    """Generalized GHZ state B(n,1)|0...0> (or B^-1(n,1)|0...0>).
+    """Generalized GHZ state B(n,1)|0...0> (or B^-1(n,1)|0...0>), built
+    from its two terms.
 
     Uses the k=1, phi=0, sigma1-dressing convention; the returned state is
     the exact computed one, global phase included: the forward state is
     da^2|0..0> + dab|1..1> and the inverse one is -(|0..0> + i|1..1>)/sqrt2
     at theta=pi/8.
     """
-    shape = RepShape(n=n, k=1)
-    op = structured_braid_op(shape, params=params)
-    return apply_structured(op, basis_state([0] * n), inverse=use_inverse)
+    op = structured_braid_op(RepShape(n=n, k=1), params=params)
+    return apply_to_basis(op, [0] * n, inverse=use_inverse)
+
+
+def _cluster_terms(n: int, k: int, params: Optional[TLParams],
+                   sources) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of B(n,k) B^-1(n,1) on each basis state of `sources`:
+    two per source, then four."""
+    if n < 2:
+        raise DomainError(f"cluster-like states need n >= 2, got n={n}")
+    op1 = structured_braid_op(RepShape(n=n, k=1), params=params)
+    opk = structured_braid_op(RepShape(n=n, k=k), params=params)
+    ones = np.ones(len(sources))
+    return _apply_terms(opk, *_apply_terms(op1, sources, ones, inverse=True))
 
 
 def cluster_like_state(n: int, k: int,
                        params: Optional[TLParams] = None) -> np.ndarray:
-    """B(n,k) B^-1(n,1) |0...0>: the four-term cluster-like superposition.
+    """B(n,k) B^-1(n,1) |0...0>: the four-term cluster-like superposition,
+    built from its terms.
 
     Entangled for n >= 2 and k > 1 (k=1 collapses to the identity action);
     at n=4, k=3 this is the 4-qubit linear cluster state.
     """
-    if n < 2:
-        raise DomainError(f"cluster-like states need n >= 2, got n={n}")
-    v = ghz_state(n, params=params, use_inverse=True)
-    op = structured_braid_op(RepShape(n=n, k=k), params=params)
-    return apply_structured(op, v)
+    return _scatter(n, *_cluster_terms(n, k, params, [0]))
 
 
 def cluster_family(n: int, k: int,
                    params: Optional[TLParams] = None) -> list[np.ndarray]:
-    """B(n,k) B^-1(n,1) applied to every basis state: 2^n orthonormal states.
+    """B(n,k) B^-1(n,1) applied to every basis state: 2^n orthonormal states,
+    the rows of one 2^n x 2^n array filled from the terms of all 2^n inputs.
 
     Dense-cap bound (n <= DENSE_CAP_QUBITS): the family as a whole is
     matrix-sized.
@@ -186,13 +283,9 @@ def cluster_family(n: int, k: int,
     if n > DENSE_CAP_QUBITS:
         raise CapacityError(f"cluster family on {n} qubits stores 4^{n} "
                             f"amplitudes; capped at n={DENSE_CAP_QUBITS}")
-    if n < 2:
-        raise DomainError(f"cluster-like states need n >= 2, got n={n}")
-    op1 = structured_braid_op(RepShape(n=n, k=1), params=params)
-    opk = structured_braid_op(RepShape(n=n, k=k), params=params)
-    out = []
-    for idx in range(1 << n):
-        v = basis_state(index_to_bits(idx, n))
-        v = apply_structured(op1, v, inverse=True)
-        out.append(apply_structured(opk, v))
-    return out
+    sources = np.arange(1 << n)
+    idx, amps = _cluster_terms(n, k, params, sources)
+    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    # output term j comes from source j mod 2^n
+    np.add.at(out, (np.resize(sources, idx.size), idx), amps)
+    return list(out)

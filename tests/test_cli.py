@@ -629,6 +629,27 @@ class TestFlagContract:
         assert set().union(*cli.READS.values()) | {"format", "out"} \
             == set(cli.RunConfig.__dataclass_fields__)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "ghz", "--n", "3", "--state", "000"], "--state"),
+        (["generate", "cluster", "--n", "4", "--k", "3", "--state", "0000"],
+         "--state"),
+        (["generate", "cluster", "--n", "4", "--k", "3", "--inverse"],
+         "--inverse"),
+        (["entropy", "--state", "01", "--outcome", "1"], "--outcome"),
+    ], ids=["ghz_state", "cluster_state", "cluster_inverse", "outcome"])
+    def test_unread_flags_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "DomainError" and flag in error["message"]
+
+    def test_flags_read_where_they_apply(self, capsys):
+        assert run_cli(capsys, "generate", "ghz", "--n", "3", "--inverse")[0] == 0
+        assert run_cli(capsys, "entropy", "--state", "01", "--measure", "2",
+                       "--outcome", "1")[0] == 0
+        assert run_cli(capsys, "generate", "basis-superpose", "--state", "01",
+                       "--inverse")[0] == 0
+
     def test_measuring_the_only_qubit_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--state", "0",
                                  "--measure", "1")
@@ -778,6 +799,13 @@ def _must_refuse(argv) -> bool:
     """Flags the command does not read, an empty --cut, or a measurement of
     the only qubit (or of no qubit): exit 2 whatever else is drawn."""
     flags = dict(a.split("=", 1) for a in argv if a.startswith("--") and "=" in a)
+    if argv[:2] in (["generate", "ghz"], ["generate", "cluster"]) \
+            and "--state" in flags:
+        return True
+    if argv[:2] == ["generate", "cluster"] and "--inverse" in argv:
+        return True
+    if argv[0] == "entropy" and "--outcome" in flags and "--measure" not in flags:
+        return True
     if argv[:2] == ["verify", "powers"] and "--n" in flags:
         return True
     if argv[:2] == ["verify", "cnot"] and "--theta" in flags:
@@ -799,6 +827,9 @@ def _must_refuse(argv) -> bool:
 @example(argv=["generate", "ghz", "--n=3", "--k=3", "--s=h,h"], config=None)
 @example(argv=["entropy", "--state=0", "--measure=1"], config=None)
 @example(argv=["entropy", "--state=00", "--cut="], config=None)
+@example(argv=["generate", "ghz", "--n=3", "--state=000"], config=None)
+@example(argv=["generate", "cluster", "--n=4", "--k=3", "--inverse"], config=None)
+@example(argv=["entropy", "--state=01", "--outcome=1"], config=None)
 def test_fuzz_cli_exits_cleanly(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from tlbraid import (DimensionMismatchError, DomainError, basis_state,
                      kron_all, lu_equivalent, max_abs, measure_qubit,
                      partial_trace, reduced_density, schmidt_rank, vn_entropy)
 from tlbraid.gates import CNOT, HADAMARD, IDENTITY_2
-from tlbraid.states import cluster_like_state, index_to_bits
+from tlbraid.states import (apply_to_basis, cluster_like_state, index_to_bits,
+                            structured_braid_op)
+from tlbraid.tla import RepShape, involution_spec
 
 from conftest import random_state, random_unitary
 
@@ -300,6 +303,34 @@ class TestSupportCut:
         report = entanglement_report(v, [1, 2])
         assert report.is_product and report.entropy_bits == 0.0
         self.check(v, [2, 4])
+
+    def test_packed_keys_match_the_multi_index(self, rng):
+        n = 9
+        index = rng.integers(0, 1 << n, size=200)
+        for _ in range(20):
+            qubits = sorted(rng.choice(np.arange(1, n + 1),
+                                       int(rng.integers(1, n + 1)), replace=False))
+            bits = np.unravel_index(index, (2,) * n)
+            want = np.ravel_multi_index([bits[q - 1] for q in qubits],
+                                        (2,) * len(qubits))
+            assert np.array_equal(entangle._packed_bits(index, n, qubits), want)
+
+    @pytest.mark.parametrize("cut", [[1], [9], [18], [2, 3, 11]])
+    def test_half_dense_cut_peak_memory(self, cut):
+        # every slot H at k = 8: 2^17 + 1 of the 2^18 amplitudes are nonzero
+        n = 18
+        op = structured_braid_op(RepShape(n, 8),
+                                 spec=involution_spec(["h"] * (n - 1)))
+        v = apply_to_basis(op, [0] * n)
+        assert np.count_nonzero(v) == (1 << 17) + 1
+        tracemalloc.start()
+        try:
+            report = entanglement_report(v, cut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * v.nbytes
+        assert report.schmidt_rank == full_matrix_report(v, cut)[0]
 
     def test_ghz_cuts_take_no_qr(self, monkeypatch):
         v = ghz_state(12)

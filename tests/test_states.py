@@ -15,7 +15,7 @@ from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      index_to_bits, jones_representation, max_abs, norm,
                      parse_bits, phase_equivalent, structured_braid_op,
                      tl_params)
-from tlbraid import _kernels, linalg
+from tlbraid import _kernels, linalg, states
 from tlbraid.tla import default_involution_spec, involution_spec
 
 from conftest import random_state
@@ -422,6 +422,98 @@ class TestSpreadPass:
             finally:
                 tracemalloc.stop()
         assert peak <= bound * big_state.nbytes
+
+
+class TestTermMap:
+    """Basis inputs go through `_apply_terms`: a diagonal term and a chain
+    term per input term, the chain term split in two by each mixing slot."""
+
+    @staticmethod
+    def op(n, k, names, theta=0.3, phi=1.1):
+        return structured_braid_op(RepShape(n, k), params=tl_params(theta, phi),
+                                   spec=involution_spec(names) if n > 1 else ())
+
+    @staticmethod
+    def dressings(rng, n):
+        uniform = [[c] * (n - 1) for c in "ixyzh"]
+        mixed = [list(rng.choice(list("ixyzh"), size=n - 1)) for _ in range(3)]
+        return uniform + mixed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+    def test_every_dressing_matches_the_pass(self, rng, n):
+        for k in sorted({1, (n + 1) // 2, n}):
+            for names in self.dressings(rng, n):
+                op = self.op(n, k, names)
+                for idx in {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}:
+                    bits = index_to_bits(idx, n)
+                    for inverse in (False, True):
+                        want = apply_structured(op, basis_state(bits), inverse)
+                        got = states.apply_to_basis(op, bits, inverse)
+                        assert max_abs(got - want) <= 1e-15, (k, names, idx)
+
+    def test_basis_input_gives_one_plus_two_to_the_mixers_terms(self):
+        names = ["h", "x", "h", "y", "h"]
+        idx, amps = states._apply_terms(self.op(6, 2, names), [0b101101], [1.0])
+        assert idx.size == amps.size == 1 + 2 ** 3
+        assert np.unique(idx).size == idx.size
+
+    @pytest.mark.parametrize("names", [["x", "y", "z", "i", "x"],
+                                       ["h", "x", "h", "z", "y"]])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_repeated_input_indices(self, rng, names, inverse):
+        n = 6
+        op = self.op(n, 3, names, theta=-0.2, phi=2.0)
+        idx = np.array([5, 9, 5, 0, 63, 9, 5])
+        amps = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        v = states._scatter(n, idx, amps)
+        got = states._scatter(n, *states._apply_terms(op, idx, amps, inverse))
+        assert max_abs(got - apply_structured(op, v, inverse)) <= 1e-14
+        # output term j comes from input term j mod m
+        out_idx, out_amps = states._apply_terms(op, idx, amps, inverse)
+        for i in range(idx.size):
+            one = states._apply_terms(op, idx[i:i + 1], amps[i:i + 1], inverse)
+            assert np.array_equal(out_idx[i::idx.size], one[0])
+            assert np.array_equal(out_amps[i::idx.size], one[1])
+
+    @pytest.mark.parametrize("theta", [np.pi / 8, 0.3, -0.45, np.pi + 0.2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 17])
+    def test_ghz_is_the_pass_bit_for_bit(self, n, theta):
+        op = structured_braid_op(RepShape(n, 1), params=tl_params(theta))
+        for inverse in (False, True):
+            want = apply_structured(op, basis_state([0] * n), inverse)
+            got = ghz_state(n, params=tl_params(theta), use_inverse=inverse)
+            assert np.array_equal(got.view(np.float64) != 0,
+                                  want.view(np.float64) != 0)
+            nonzero = got != 0
+            assert np.array_equal(got[nonzero].view(np.uint64),
+                                  want[nonzero].view(np.uint64))
+
+    def test_generators_run_no_pass(self):
+        with mock.patch.object(_kernels, "gather_pass",
+                               side_effect=AssertionError("a 2^n pass")) as fake:
+            ghz_state(6)
+            ghz_state(6, use_inverse=True)
+            cluster_like_state(6, 4)
+            cluster_family(4, 3)
+            states.apply_to_basis(self.op(5, 2, ["h"] * 4), "01101", True)
+        assert fake.call_count == 0
+
+    @pytest.mark.parametrize("make", [lambda: ghz_state(20),
+                                      lambda: cluster_like_state(20, 11)],
+                             ids=["ghz", "cluster"])
+    def test_peak_memory_is_the_state(self, make):
+        make()
+        tracemalloc.start()
+        try:
+            v = make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * v.nbytes
+
+    def test_bits_must_fit_the_operator(self):
+        with pytest.raises(DimensionMismatchError):
+            states.apply_to_basis(self.op(3, 2, ["x", "x"]), "0101")
 
 
 class TestGhz:
