@@ -198,8 +198,7 @@ def _apply_terms(op: StructuredBraidOp, idx, amps, inverse: bool = False
     out_idx = np.empty(m + (m << len(mixers)), dtype=np.int64)
     out_amps = np.empty(out_idx.size, dtype=np.complex128)
     out_idx[:m] = idx
-    np.multiply(amps, np.where((idx >> (n - k)) & 1, diag1, diag0),
-                out=out_amps[:m])
+    out_amps[:m] = amps * np.where((idx >> (n - k)) & 1, diag1, diag0)
     chain_idx, chain = out_idx[m:], out_amps[m:]
     chain_idx[:m] = idx ^ flipmask
     chain[:m] = amps * fold(range(top, n)) * fold(range(top))
