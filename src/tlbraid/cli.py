@@ -28,7 +28,7 @@ from . import verify as verify_mod
 from .braidrep import bell_representation, jones_representation
 from .entangle import entanglement_report, measure_qubit, nonzero_support
 from .errors import DomainError, TLBraidError
-from .linalg import num_qubits, state_from_json, state_to_json
+from .linalg import _write_chunks, num_qubits, state_from_json, state_to_json
 from .states import (apply_to_basis, basis_state, cluster_like_state,
                      ghz_state, parse_bits, structured_braid_op)
 from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
@@ -216,14 +216,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _state_text(v: np.ndarray) -> str:
-    n = num_qubits(v)
-    idx = np.flatnonzero(np.abs(v) > 1e-14)
-    z = v[idx]
+def _state_text(n: int, start: int, chunk: np.ndarray) -> str:
+    """The lines of an n-qubit state's chunk from index start, as text."""
+    idx = np.flatnonzero(np.abs(chunk) > 1e-14)
+    z = chunk[idx]
     line = f"|{{0:0{n}b}}>" if n else "|>"
-    lines = map((line + "  {1:.12g}{2:+.12g}i").format,
-                idx.tolist(), z.real.tolist(), z.imag.tolist())
-    return "\n".join([f"# {n}-qubit state, nonzero amplitudes:", *lines])
+    return "".join(map((line + "  {1:.12g}{2:+.12g}i\n").format,
+                       (idx + start).tolist(), z.real.tolist(), z.imag.tolist()))
 
 
 def _report_text(name: str, report) -> str:
@@ -270,12 +269,13 @@ def _emit(cfg: RunConfig, fields: dict, header: list[str],
             else:
                 state_to_json(fh, v, payload)
         else:
-            parts = list(header)
+            fh.write("".join(line + "\n" for line in header))
             if v is not None:
-                parts.append(_state_text(v))
+                n = num_qubits(v)
+                fh.write(f"# {n}-qubit state, nonzero amplitudes:\n")
+                _write_chunks(fh, v, lambda start, z: _state_text(n, start, z))
             if reports is not None:
-                parts.append(_entanglement_text(reports))
-            fh.write("\n".join(parts) + "\n")
+                fh.write(_entanglement_text(reports) + "\n")
 
 
 def _load_state(spec: str) -> np.ndarray:

@@ -48,15 +48,21 @@ def _validate_subset(subset, n: int, proper: bool = True) -> tuple[int, ...]:
     return keep
 
 
-def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Reduced density matrix over the kept qubits (trace preserved)."""
+def _require_density(rho: np.ndarray) -> None:
+    """DomainError unless rho is a numeric array (`require_array`),
+    DimensionMismatchError unless it is one square matrix."""
     require_array(rho, "a density matrix")
-    dim = rho.shape[0]
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Reduced density matrix over the kept qubits (trace preserved)."""
+    _require_density(rho)
+    dim = rho.shape[0]
+    if not dim or dim & (dim - 1):
         raise DimensionMismatchError(f"dimension {dim} is not a power of two")
+    n = dim.bit_length() - 1
     keep = _validate_subset(keep, n)
     labels = list(range(1, n + 1))
     t = rho.reshape([2] * (2 * n))
@@ -96,7 +102,7 @@ def vn_entropy(rho: np.ndarray) -> float:
     Eigenvalues below 1e-12 are treated as exact zeros, and the rest are
     rescaled to sum 1, so a pure state reads exactly 0.
     """
-    require_array(rho, "a density matrix")
+    _require_density(rho)
     if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise DomainError("density matrix must be Hermitian")
     return _entropy_bits(np.linalg.eigvalsh(rho))
@@ -193,7 +199,7 @@ def lu_equivalent(u: np.ndarray, v: np.ndarray, locals_, tol: float = 1e-10) -> 
         raise DimensionMismatchError(f"need {n} local unitaries, got {len(locals_)}")
     w = v
     for pos, m2 in enumerate(locals_, start=1):
-        w = apply_single_qubit(np.asarray(m2, dtype=np.complex128), w, pos)
+        w = apply_single_qubit(m2, w, pos)
     return phase_equivalent(u, w, mode="global", tol=tol)
 
 

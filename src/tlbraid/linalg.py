@@ -20,7 +20,8 @@ Conventions used throughout the package:
 
 JSON interchange: a state is {"n_qubits", "amplitudes"}, each amplitude a
 two-element [re, im] list, bare or held under "state" as in the CLI's JSON
-output; `state_to_json` writes it (streamed) and `state_from_json` reads it.
+output; `state_to_json` writes it and `state_from_json` reads it.  Both
+state writers, JSON and the CLI's text, stream through `_write_chunks`.
 """
 
 from __future__ import annotations
@@ -60,15 +61,25 @@ def require_array(x, what: str) -> None:
         raise DomainError(f"{what} must be a numeric numpy array, got {got}")
 
 
+def _as_complex(x, what: str) -> np.ndarray:
+    """x as a complex128 array, not copied if it is one: a numeric array
+    (`require_array`) or nested lists of numbers (integers within 64 bits);
+    text, None and ragged lists are refused with DomainError."""
+    try:
+        a = np.asarray(x)
+    except ValueError:      # ragged nesting, refused below as a list
+        a = x
+    require_array(a, what)
+    return a.astype(np.complex128, copy=False)
+
+
 def num_qubits(v: np.ndarray) -> int:
     """Qubit count of a state vector: a numeric 1-D array (`require_array`)
-    whose length is a power of two."""
+    whose length is a power of two (at least 1)."""
     require_array(v, "a state")
-    size = v.shape[0]
-    n = size.bit_length() - 1
-    if v.ndim != 1 or size != 1 << n:
+    if v.ndim != 1 or not v.size or v.size & (v.size - 1):
         raise DimensionMismatchError(f"not a qubit state of shape {v.shape}")
-    return n
+    return v.size.bit_length() - 1
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:
@@ -133,7 +144,7 @@ def apply_in_place(m: np.ndarray, v: np.ndarray, first: int) -> None:
     multiplied by (m x I)^T, one matmul per slab: as a stack of 2^j-row
     slices these would be many tiny matmuls.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = _as_complex(m, "a matrix")
     n, first = num_qubits(v), as_int(first, "a qubit label")
     if v.dtype != np.complex128 or not v.flags.c_contiguous:
         raise DomainError("a state is changed in place only as one "
@@ -171,10 +182,11 @@ def apply_in_place(m: np.ndarray, v: np.ndarray, first: int) -> None:
 
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
     """Apply a 2x2 matrix to qubit `pos` (1-based) of a state vector."""
-    if np.shape(m2) != (2, 2):
-        raise DimensionMismatchError(f"matrix of shape {np.shape(m2)} is no "
+    m2 = _as_complex(m2, "a matrix")
+    if m2.shape != (2, 2):
+        raise DimensionMismatchError(f"matrix of shape {m2.shape} is no "
                                      "single-qubit operator")
-    out = np.array(v, dtype=np.complex128)
+    out = np.array(_as_complex(v, "a state"))
     apply_in_place(m2, out, pos)
     return out
 
@@ -253,8 +265,8 @@ def phase_equivalent(u, v, mode: str = "global", tol: float = 1e-10) -> bool:
     columnwise mode: each column of u must be a unit-scalar multiple of the
     matching column of v.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    u = _as_complex(u, "a matrix or state")
+    v = _as_complex(v, "a matrix or state")
     if u.shape != v.shape:
         raise DimensionMismatchError(f"shape mismatch {u.shape} vs {v.shape}")
     if mode == "global":
@@ -289,7 +301,7 @@ def _pairs_from_json(pairs) -> np.ndarray:
     return np.ascontiguousarray(a, np.float64).view(np.complex128).reshape(-1)
 
 
-#: Amplitude pairs formatted per write, so only one chunk's text is held.
+#: Amplitudes formatted per write, so only one chunk's text is held.
 _CHUNK_PAIRS = 1 << 16
 #: Stands in for the amplitude list while json.dumps lays out the rest.
 _AMPLITUDES = "\0amplitudes\0"
@@ -308,13 +320,20 @@ def _pair_texts(pairs: np.ndarray, sep: str) -> list[str]:
     return texts.tolist()
 
 
+def _write_chunks(fh, v: np.ndarray, render: Callable) -> None:
+    """Write render(start, v[start:start + _CHUNK_PAIRS]) to fh for each
+    chunk of v in turn: the one loop of the JSON and the text state writers."""
+    for start in range(0, len(v), _CHUNK_PAIRS):
+        fh.write(render(start, v[start:start + _CHUNK_PAIRS]))
+
+
 def state_to_json(fh, v: np.ndarray, outer: Optional[dict] = None) -> None:
     """Write json.dumps(doc, indent=2) and a newline to the text file fh,
     byte for byte, where doc is the state {"n_qubits", "amplitudes"} or
     `outer` with the state under "state" (in that key's place if it has one).
 
-    The amplitudes are streamed _CHUNK_PAIRS at a time, each float written
-    by float.__repr__ as json's encoder does.
+    The amplitudes are streamed by `_write_chunks`, each float written by
+    float.__repr__ as json's encoder does.
     """
     require_finite(v)       # json would write NaN, which no reader accepts
     doc = {"n_qubits": num_qubits(v), "amplitudes": _AMPLITUDES}
@@ -326,11 +345,13 @@ def state_to_json(fh, v: np.ndarray, outer: Optional[dict] = None) -> None:
     end = "\n" + "  " * (1 if outer is None else 2)
     row, part = end + "  ", end + "    "
     sep, between = "," + part, row + "]," + row + "[" + part
-    pairs = np.ascontiguousarray(v, np.complex128).view(np.float64).reshape(-1, 2)
+
+    def pairs_text(start: int, z: np.ndarray) -> str:
+        texts = _pair_texts(z.view(np.float64).reshape(-1, 2), sep)
+        return (between if start else "") + between.join(texts)
+
     fh.write(head + "[" + row + "[" + part)
-    for start in range(0, len(pairs), _CHUNK_PAIRS):
-        texts = _pair_texts(pairs[start:start + _CHUNK_PAIRS], sep)
-        fh.write((between if start else "") + between.join(texts))
+    _write_chunks(fh, np.ascontiguousarray(v, np.complex128), pairs_text)
     fh.write(row + "]" + end + "]" + tail)
 
 

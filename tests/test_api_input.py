@@ -24,6 +24,7 @@ from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
                      parse_bits, partial_trace, phase_equivalent,
                      reduced_density, schmidt_rank, structured_braid_op,
                      tl_params, verify, vn_entropy)
+from tlbraid.linalg import apply_in_place
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
@@ -33,6 +34,9 @@ GHZ3_RHO = np.outer(GHZ3, GHZ3.conj())
 B21 = structured_braid_op(RepShape(2, 1))
 #: A state given as a list rather than an array
 LIST_STATE = [1, 0, 0, 0]
+#: Arrays of no qubit state: no amplitude, and a 0-d array
+EMPTY_STATE = np.zeros(0, dtype=complex)
+SCALAR_STATE = np.array(1 + 0j)
 
 
 def nan_spec():
@@ -96,6 +100,35 @@ def nan_spec():
     lambda: partial_trace([[1, 0], [0, 0]], [1]),
     lambda: vn_entropy([[1, 0], [0, 0]]),
     lambda: evaluate_on_state(parse("b1"), bell_representation(2), LIST_STATE),
+    (DimensionMismatchError, lambda: entanglement_report(EMPTY_STATE, [1])),
+    (DimensionMismatchError, lambda: entanglement_report(SCALAR_STATE, [1])),
+    (DimensionMismatchError, lambda: measure_qubit(EMPTY_STATE, 1, 0)),
+    (DimensionMismatchError, lambda: measure_qubit(SCALAR_STATE, 1, 0)),
+    (DimensionMismatchError, lambda: schmidt_rank(EMPTY_STATE, [1])),
+    (DimensionMismatchError, lambda: schmidt_rank(SCALAR_STATE, [1])),
+    (DimensionMismatchError, lambda: reduced_density(EMPTY_STATE, [1])),
+    (DimensionMismatchError, lambda: reduced_density(SCALAR_STATE, [1])),
+    (DimensionMismatchError,
+     lambda: lu_equivalent(EMPTY_STATE, EMPTY_STATE, [gate("h")])),
+    (DimensionMismatchError,
+     lambda: lu_equivalent(SCALAR_STATE, SCALAR_STATE, [gate("h")])),
+    (DimensionMismatchError, lambda: apply_single_qubit(gate("h"), EMPTY_STATE, 1)),
+    (DimensionMismatchError, lambda: apply_single_qubit(gate("h"), 3, 1)),
+    (DimensionMismatchError, lambda: vn_entropy(np.ones(4))),
+    (DimensionMismatchError, lambda: vn_entropy(np.ones((2, 4)))),
+    (DimensionMismatchError, lambda: vn_entropy(np.array(1.0))),
+    (DimensionMismatchError, lambda: vn_entropy(np.ones((2, 2, 2)))),
+    (DimensionMismatchError, lambda: partial_trace(np.array(1.0), [1])),
+    (DimensionMismatchError, lambda: partial_trace(np.zeros((0, 0)), [1])),
+    lambda: phase_equivalent(None, None),
+    lambda: phase_equivalent("ab", "ab"),
+    lambda: phase_equivalent([1, "a"], [1, 0]),
+    lambda: apply_single_qubit([["a", 0], [0, 1]], basis_state("00"), 1),
+    lambda: apply_single_qubit([[None, 0], [0, 1]], basis_state("00"), 1),
+    lambda: apply_single_qubit(gate("h"), "ab", 1),
+    lambda: apply_in_place(None, basis_state("00"), 1),
+    lambda: apply_in_place([[0, 1], [1, "x"]], basis_state("00"), 1),
+    lambda: lu_equivalent(GHZ3, GHZ3, ["h", "h", "h"]),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -119,7 +152,20 @@ def nan_spec():
         "apply_structured_text_state", "entanglement_report_list_state",
         "reduced_density_list_state", "measure_qubit_list_state",
         "partial_trace_list_matrix", "vn_entropy_list_matrix",
-        "evaluate_on_state_list_state"])
+        "evaluate_on_state_list_state",
+        "entanglement_report_empty_state", "entanglement_report_0d_state",
+        "measure_qubit_empty_state", "measure_qubit_0d_state",
+        "schmidt_rank_empty_state", "schmidt_rank_0d_state",
+        "reduced_density_empty_state", "reduced_density_0d_state",
+        "lu_equivalent_empty_state", "lu_equivalent_0d_state",
+        "apply_single_qubit_empty_state", "apply_single_qubit_int_state",
+        "vn_entropy_vector", "vn_entropy_non_square", "vn_entropy_0d",
+        "vn_entropy_stack", "partial_trace_0d", "partial_trace_empty",
+        "phase_equivalent_none", "phase_equivalent_text",
+        "phase_equivalent_text_entry", "apply_single_qubit_text_matrix",
+        "apply_single_qubit_none_entry", "apply_single_qubit_text_state",
+        "apply_in_place_none_matrix", "apply_in_place_text_entry",
+        "lu_equivalent_text_locals"])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)

@@ -556,6 +556,18 @@ class TestJsonWriter:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
+    def test_text_emit_memory_is_flat(self, tmp_path, rng):
+        # the whole-string text render peaked at 65.4 MiB here
+        v = random_state(rng, 18)
+        cfg = cli.RunConfig(format="text", out=str(tmp_path / "v.txt"))
+        tracemalloc.start()
+        try:
+            cli._emit(cfg, {}, ["# kind k"], v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
 
 def per_amplitude_state_text(v):
     """The text state render as a loop over the amplitudes."""
@@ -569,6 +581,17 @@ def per_amplitude_state_text(v):
 
 
 class TestStateText:
+    """The text state render, streamed a chunk at a time through `cli._emit`,
+    equals the per-amplitude loop at every chunk size."""
+
+    @staticmethod
+    def check(capsys, monkeypatch, v):
+        want = per_amplitude_state_text(v) + "\n"
+        for chunk in (1, 3, 16, linalg._CHUNK_PAIRS):
+            monkeypatch.setattr(linalg, "_CHUNK_PAIRS", chunk)
+            cli._emit(cli.RunConfig(format="text"), {}, [], v)
+            assert capsys.readouterr().out == want, f"chunks of {chunk}"
+
     @pytest.mark.parametrize("amplitudes", [
         [1.0], [-1j], [complex(-0.0, -1.0)], [complex(0.6, -0.0)],
         [0.0, -1.0], [1e-14, 1.0000000000001e-14, -1.5e-14, 1e-14j],
@@ -576,15 +599,25 @@ class TestStateText:
          0.1 + 0.2j],
         [S2, 0, 0, -0.0, 0, 0, 0, -S2 + 1e-300j],
     ])
-    def test_matches_the_per_amplitude_loop(self, amplitudes):
+    def test_matches_the_per_amplitude_loop(self, capsys, monkeypatch,
+                                            amplitudes):
         v = np.array(amplitudes, dtype=np.complex128)
-        assert cli._state_text(v) == per_amplitude_state_text(v)
+        self.check(capsys, monkeypatch, v)
 
     @pytest.mark.parametrize("n", [1, 5, 9])
-    def test_random_states(self, rng, n):
+    def test_random_states(self, capsys, monkeypatch, rng, n):
         v = random_state(rng, n)
         v[rng.random(v.size) < 0.3] = 0
-        assert cli._state_text(v) == per_amplitude_state_text(v)
+        self.check(capsys, monkeypatch, v)
+
+    def test_nonzero_runs_straddle_zero_chunks(self, capsys, monkeypatch, rng):
+        # runs across the boundaries of 3 and 16, all-zero chunks between
+        v = sparse_state(rng, 7, [2, 3, 14, 15, 16, 17, 80, 95, 96, 127])
+        self.check(capsys, monkeypatch, v)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -0.5j])
+    def test_zero_qubit_state(self, capsys, monkeypatch, amplitude):
+        self.check(capsys, monkeypatch, np.array([amplitude], dtype=complex))
 
 
 class TestFlagContract:
