@@ -31,8 +31,7 @@ from .errors import DomainError, TLBraidError
 from .linalg import _write_chunks, num_qubits, state_from_json, state_to_json
 from .states import (apply_to_basis, basis_state, cluster_like_state,
                      ghz_state, parse_bits, structured_braid_op)
-from .tla import (RepShape, TLParams, default_involution_spec, involution_spec,
-                  tl_params)
+from .tla import RepShape, TLParams, default_involution_spec, tl_params
 from . import braidlang
 
 #: Longer angle text is refused before parsing: deep nesting exhausts the parser.
@@ -91,16 +90,6 @@ class RunConfig:
             0.0 if self.phi is None else self.phi,
             self.a_sign, self.b_sign,
         )
-
-    def spec_for(self, shape: RepShape):
-        if self.s is None:
-            return default_involution_spec(shape)
-        if len(self.s) != shape.n - 1:
-            raise DomainError(
-                f"--s needs {shape.n - 1} involutions for n={shape.n}, "
-                f"got {len(self.s)}"
-            )
-        return involution_spec(self.s)
 
 
 def _read_json(path: str):
@@ -335,7 +324,7 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
                 f"--n {cfg.n} disagrees with the {n} bits of --state")
         k = cfg.k if cfg.k is not None else 1
         shape = RepShape(n=n, k=k)
-        op = structured_braid_op(shape, params=params, spec=cfg.spec_for(shape))
+        op = structured_braid_op(shape, params=params, spec=cfg.s)
         v = apply_to_basis(op, bits, inverse=inverse)
     _emit(cfg, {"kind": kind}, [], v, _cut_reports(v, k, tol))
     return 0
@@ -348,7 +337,8 @@ def cmd_apply(cfg: RunConfig, word_text: str, state: str, rep_name: str) -> int:
         raise DomainError(f"--n {cfg.n} disagrees with the {n}-qubit state")
     if rep_name == "jones":
         shape = RepShape(n=n, k=cfg.k if cfg.k is not None else 1)
-        rep = jones_representation(cfg.params(), shape, cfg.spec_for(shape))
+        spec = default_involution_spec(shape) if cfg.s is None else cfg.s
+        rep = jones_representation(cfg.params(), shape, spec)
         word = braidlang.parse(word_text, declared_strands=3)
     else:       # bell
         rep = bell_representation(n)

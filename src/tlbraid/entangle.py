@@ -36,14 +36,14 @@ def _items(values, what: str) -> list:
                           ) from None
 
 
-def _validate_subset(subset, n: int, proper: bool = True) -> tuple[int, ...]:
+def _validate_subset(subset, n: int) -> tuple[int, ...]:
     keep = tuple(sorted({as_int(q, "a qubit label")
                          for q in _items(subset, "a qubit subset")}))
     if not keep:
         raise DomainError("qubit subset must be non-empty")
     if any(q < 1 or q > n for q in keep):
         raise DomainError(f"subset {keep} out of range for {n} qubits")
-    if proper and len(keep) >= n:
+    if len(keep) >= n:
         raise DomainError(f"subset {keep} must be a proper subset of 1..{n}")
     return keep
 
@@ -99,13 +99,18 @@ def _entropy_bits(lam: np.ndarray) -> float:
 def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, -sum lambda log2 lambda.
 
-    Eigenvalues below 1e-12 are treated as exact zeros, and the rest are
-    rescaled to sum 1, so a pure state reads exactly 0.
+    rho must be Hermitian, of trace 1 and with no negative eigenvalue, each
+    within 1e-10.  Eigenvalues below 1e-12 are treated as exact zeros, and
+    the rest are rescaled to sum 1, so a pure state reads exactly 0.
     """
     _require_density(rho)
     if not max_abs(rho - dagger(rho)) <= 1e-10:
         raise DomainError("density matrix must be Hermitian")
-    return _entropy_bits(np.linalg.eigvalsh(rho))
+    lam = np.linalg.eigvalsh(rho)
+    if not (abs(lam.sum() - 1.0) <= 1e-10 and lam.min() >= -1e-10):
+        raise DomainError("a density matrix needs trace 1 and no negative "
+                          f"eigenvalue, got eigenvalues {lam!r:.80}")
+    return _entropy_bits(lam)
 
 
 def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.ndarray]:
@@ -224,10 +229,15 @@ def entanglement_report(v: np.ndarray, bipartition, tol: float = 1e-9,
                         ) -> EntanglementReport:
     """Entropy / Schmidt-rank report for one cut of a normalized pure state.
 
-    support, `nonzero_support(v)`, may be passed to share it among the cuts
-    of one state.
+    support, which must be `np.flatnonzero(v)` (a 1-D integer array of
+    indices into v), may be passed to share it among the cuts of one state.
     """
     keep = _validate_subset(bipartition, num_qubits(v))
+    if support is not None and not (
+            isinstance(support, np.ndarray) and support.ndim == 1
+            and support.dtype.kind in "iu" and support.min(initial=0) >= 0
+            and support.max(initial=0) < v.size):
+        raise DomainError("support must be np.flatnonzero(v)")
     s = _schmidt_coefficients(v, keep, support)
     lam = s * s
     if not abs(lam.sum() - 1.0) <= 1e-10:

@@ -181,12 +181,13 @@ def apply_in_place(m: np.ndarray, v: np.ndarray, first: int) -> None:
 
 
 def apply_single_qubit(m2: np.ndarray, v: np.ndarray, pos: int) -> np.ndarray:
-    """Apply a 2x2 matrix to qubit `pos` (1-based) of a state vector."""
+    """Apply a 2x2 matrix to qubit `pos` (1-based) of a state (`num_qubits`)."""
     m2 = _as_complex(m2, "a matrix")
     if m2.shape != (2, 2):
         raise DimensionMismatchError(f"matrix of shape {m2.shape} is no "
                                      "single-qubit operator")
-    out = np.array(_as_complex(v, "a state"))
+    num_qubits(v)
+    out = np.array(v, dtype=np.complex128)
     apply_in_place(m2, out, pos)
     return out
 

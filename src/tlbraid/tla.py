@@ -6,7 +6,8 @@ slots; the resulting pair (E1, E2) generates a matrix realization of the
 three-strand Temperley-Lieb algebra with loop weight d = -2 cos(2 theta).
 Every operator of that algebra, and of the braid group it represents, is
 one `StructuredBraidOp`: a diagonal block at slot k plus an antidiagonal
-block dressed with the involution chain.
+block dressed with the involution chain, unitary because every s_j is a
+Hermitian involution: `involution_spec` checks every chain where it enters.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ _INVOLUTION_NAMES = frozenset(("i", "x", "y", "z", "h",
 
 
 def involution_matrix(spec) -> np.ndarray:
-    """Resolve an involution: a name among I, X, Y, Z, H or a 2x2 matrix.
+    """Resolve an involution: a name among I, X, Y, Z, H, a 2x2 matrix or
+    an (m, 2, 2) stack of them, standing for m dressings at once.
 
-    Custom matrices must be Hermitian and square to the identity within
-    1e-14 (NaN fails both).
+    Matrices and stack members must be Hermitian and square to the identity
+    within 1e-14 (NaN fails both).
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
@@ -113,24 +115,39 @@ def involution_matrix(spec) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # ragged, or no numbers
         raise DomainError(f"involution {spec!r:.80} is no name or 2x2 matrix"
                           ) from None
-    if m.shape != (2, 2):
-        raise DimensionMismatchError(f"involution must be 2x2, got {m.shape}")
-    with np.errstate(invalid="ignore"):     # Inf - Inf: the NaN fails <=
-        if not max_abs(m - dagger(m)) <= _INVOLUTION_TOL:
+    if m.shape[-2:] != (2, 2) or m.ndim > 3:
+        raise DimensionMismatchError(
+            f"involution must be 2x2 or an (m, 2, 2) stack, got {m.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):  # Inf, NaN fail <=
+        if not np.all(max_abs(m - dagger(m)) <= _INVOLUTION_TOL):
             raise DomainError("involution must be Hermitian")
-        if not max_abs(m @ m - np.eye(2)) <= _INVOLUTION_TOL:
+        if not np.all(max_abs(m @ m - np.eye(2)) <= _INVOLUTION_TOL):
             raise DomainError("involution must square to the identity")
     return m
 
 
-def involution_spec(specs) -> tuple[np.ndarray, ...]:
-    """The n-1 involutions on slots j != k, in ascending j order, each
-    resolved by `involution_matrix`.  Operators also accept a tuple whose
-    entries are (m, 2, 2) stacks standing for m dressings at once."""
-    return tuple(involution_matrix(s) for s in specs)
+class InvolutionSpec(tuple):
+    """A chain each entry of which `involution_matrix` has checked.  The
+    type is kept only for that invariant: operators take it as is, so a
+    chain is checked once, not per operator or per (phi, theta)."""
+
+    def __new__(cls, specs):
+        try:
+            entries = iter(specs)
+        except TypeError:
+            raise DomainError("an involution chain must be a collection, "
+                              f"got {specs!r:.80}") from None
+        return super().__new__(cls, map(involution_matrix, entries))
 
 
-def default_involution_spec(shape: RepShape) -> tuple[np.ndarray, ...]:
+def involution_spec(specs) -> InvolutionSpec:
+    """The n-1 involutions on slots j != k, in ascending j order: names,
+    2x2 matrices or (m, 2, 2) stacks, each checked by `involution_matrix`,
+    the one check of every chain (an InvolutionSpec is returned as is)."""
+    return specs if isinstance(specs, InvolutionSpec) else InvolutionSpec(specs)
+
+
+def default_involution_spec(shape: RepShape) -> InvolutionSpec:
     """Conjugating-subclass dressing: identity below slot k, sigma_1 above.
 
     This is the choice that makes B(n,k) superimpose a basis state on its
@@ -156,18 +173,23 @@ class StructuredBraidOp:
         I x..x I x P x I x..x I  +  s_1 x..x s_{k-1} x Q x s_{k+1} x..x s_n
 
     with P diagonal and Q antidiagonal 2x2 blocks at slot k.  Every s_j is
-    a Hermitian involution, so the chain squares to the identity and the
-    form is closed under products and adjoints:
+    a Hermitian involution (`involution_spec`), so the chain squares to the
+    identity and the form is closed under products and adjoints:
     (P1, Q1)(P2, Q2) = (P1 P2 + Q1 Q2, P1 Q2 + Q1 P2), (P, Q)^+ = (P^+, Q^+).
     """
 
     shape: RepShape
     params: TLParams
-    spec: tuple[np.ndarray, ...]   # s_j, j != k; see `involution_spec`
+    spec: InvolutionSpec        # s_j, j != k, checked by `involution_spec`
     diag_block: np.ndarray      # P, 2x2 diagonal
     offdiag_block: np.ndarray   # Q, 2x2 antidiagonal
 
     def __post_init__(self):
+        object.__setattr__(self, "spec", involution_spec(self.spec))
+        if len(self.spec) != self.shape.n - 1:
+            raise DimensionMismatchError(
+                f"need {self.shape.n - 1} involutions for n={self.shape.n}, "
+                f"got {len(self.spec)}")
         p, q = self.diag_block, self.offdiag_block
         if p[0, 1] or p[1, 0] or q[0, 0] or q[1, 1]:
             raise DomainError("slot block P must be diagonal and Q antidiagonal")
@@ -231,21 +253,13 @@ class JonesPairs(NamedTuple):
     inverses: tuple[StructuredBraidOp, StructuredBraidOp]     # b1^-1, b2^-1
 
 
-def jones_pairs(shape: RepShape, p: TLParams,
-                spec: tuple[np.ndarray, ...]) -> JonesPairs:
+def jones_pairs(shape: RepShape, p: TLParams, spec) -> JonesPairs:
     """E_i, b_i = A d E_i + A^-1 I and b_i^-1 = A^-1 d E_i + A I as pairs.
 
     E1 = (e1, 0) and E2 = (e2, ab e3) with the blocks of `local_blocks`.
-    An entry of spec that is no numeric 2x2 array or stack (..., 2, 2) of
-    them, such as a name, is resolved (or refused) by `involution_matrix`.
+    spec goes through `involution_spec` once for all six operators.
     """
-    spec = tuple(s if isinstance(s, np.ndarray) and s.shape[-2:] == (2, 2)
-                 and s.dtype.kind in "biufc" else involution_matrix(s)
-                 for s in spec)
-    if len(spec) != shape.n - 1:
-        raise DimensionMismatchError(
-            f"need {shape.n - 1} involutions for n={shape.n}, got {len(spec)}"
-        )
+    spec = involution_spec(spec)
     e1, e2, e3 = local_blocks(p)
     eye = np.eye(2, dtype=np.complex128)
     projectors = (
@@ -265,7 +279,7 @@ def jones_pairs(shape: RepShape, p: TLParams,
     )
 
 
-def tl_projectors(shape: RepShape, p: TLParams, spec: tuple[np.ndarray, ...]
+def tl_projectors(shape: RepShape, p: TLParams, spec
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The Hermitian projector pair (E1, E2) on n qubits.
 

@@ -40,7 +40,7 @@ from .linalg import DENSE_CAP_QUBITS, dagger, kron_all, max_abs
 from .reports import RelationReport, ReportAccumulator
 from .states import structured_braid_op
 from .tla import (JonesPairs, RepShape, check_tl_relations,
-                  default_involution_spec, involution_matrix, jones_pairs,
+                  default_involution_spec, involution_spec, jones_pairs,
                   tl_params)
 
 GRID_THETAS: tuple[float, ...] = (
@@ -93,9 +93,9 @@ def iter_grid(theta=None, phi=None, n=None, k=None, s=None,
     restrict the standard grid to one value or a sequence of values.  Each
     slice holds the `jones_pairs` of a chunk of involution assignments at
     one (n, k, phi, theta): its spec holds stacks (m, 2, 2), so `.dense()`
-    of a pair is a stack of m matrices.  Qubit counts outside 1..12 and
-    grids whose matrix work exceeds GRID_WORK_LIMIT are refused before
-    anything is built.
+    of a pair is a stack of m matrices.  A chunk's chain is checked once,
+    for every slot k.  Qubit counts outside 1..12 and grids whose matrix
+    work exceeds GRID_WORK_LIMIT are refused before anything is built.
     """
     thetas, phis = _values(theta, GRID_THETAS), _values(phi, GRID_PHIS)
     ns, ks = _values(n, GRID_NS), _values(k, None)
@@ -109,31 +109,32 @@ def iter_grid(theta=None, phi=None, n=None, k=None, s=None,
             f"the grid needs {work:.3g} of matrix work (points x dim^3), "
             f"more than the standard grid's {GRID_WORK_LIMIT:.3g}; narrow it "
             "with --k, --s, --theta or --phi")
-    inv_stack = np.array([involution_matrix(name) for name in involutions],
-                         dtype=np.complex128).reshape(-1, 2, 2)
+    inv_stack = np.array(involution_spec(involutions)).reshape(-1, 2, 2)
     params = [[tl_params(theta, phi) for theta in thetas] for phi in phis]
     per_name = len(phis) * len(thetas)
-    first = 0   # grid position of the current (n, k) block's first point
+    first = 0   # grid position of the current n's first point
     for n in ns:
         chunk = max(1, GRID_CHUNK_BYTES // (16 * 4 ** n))
-        for k in _slots(n, ks):
-            shape = RepShape(n=n, k=k)
-            assignments = itertools.product(range(len(involutions)),
-                                            repeat=n - 1)
-            c0 = 0      # index of the chunk's first involution assignment
-            while block := list(itertools.islice(assignments, chunk)):
-                names = [tuple(involutions[i] for i in row) for row in block]
-                spec = tuple(inv_stack[list(column)] for column in zip(*block))
+        shapes = [RepShape(n=n, k=k) for k in _slots(n, ks)]
+        per_shape = len(involutions) ** (n - 1) * per_name
+        assignments = itertools.product(range(len(involutions)), repeat=n - 1)
+        c0 = 0      # index of the chunk's first involution assignment
+        while block := list(itertools.islice(assignments, chunk)):
+            names = [tuple(involutions[i] for i in row) for row in block]
+            # checked once for all the chunk's (k, phi, theta)
+            spec = involution_spec(inv_stack[list(column)]
+                                   for column in zip(*block))
+            for i_k, shape in enumerate(shapes):
                 for i_phi, by_theta in enumerate(params):
                     for i_theta, p in enumerate(by_theta):
-                        at = first + (c0 * len(phis) + i_phi) * len(thetas) \
-                            + i_theta
+                        at = first + i_k * per_shape + i_theta + \
+                            (c0 * len(phis) + i_phi) * len(thetas)
                         yield GridSlice(
                             names,
                             range(at, at + len(block) * per_name, per_name),
                             jones_pairs(shape, p, spec))
-                c0 += len(block)
-            first += c0 * per_name
+            c0 += len(block)
+        first += len(shapes) * per_shape
 
 
 def _fold(acc: ReportAccumulator, grid: GridSlice, named) -> None:

@@ -23,7 +23,7 @@ from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
                      jones_representation, lu_equivalent, measure_qubit, parse,
                      parse_bits, partial_trace, phase_equivalent,
                      reduced_density, schmidt_rank, structured_braid_op,
-                     tl_params, verify, vn_entropy)
+                     tl_params, tl_projectors, verify, vn_entropy)
 from tlbraid.linalg import apply_in_place
 
 NAN = math.nan
@@ -41,6 +41,30 @@ SCALAR_STATE = np.array(1 + 0j)
 
 def nan_spec():
     return (involution_matrix(NAN_INVOLUTION),)
+
+
+P8 = tl_params(math.pi / 8)
+I2 = np.eye(2)
+#: Arrays that are no Hermitian involutions: 2I squares to 4I, the next is
+#: no Hermitian matrix but squares to I, the last is nilpotent (integers)
+NON_INVOLUTIONS = {"double": 2 * I2, "skew": np.array([[0, 2], [0.5, 0]]),
+                   "nilpotent": np.array([[0, 1], [0, 0]])}
+#: Everything that takes an involution chain, with a chain for RepShape(3, 1)
+CHAIN_TAKERS = {
+    "jones_pairs": lambda spec: jones_pairs(RepShape(3, 1), P8, spec),
+    "structured_braid_op":
+        lambda spec: structured_braid_op(RepShape(3, 1), spec=spec),
+    "jones_representation":
+        lambda spec: jones_representation(P8, RepShape(3, 1), spec),
+    "tl_projectors": lambda spec: tl_projectors(RepShape(3, 1), P8, spec),
+}
+
+
+def _chain_probes():
+    """Each chain taker on each non-involution as the first slot's array."""
+    return [(lambda f=f, m=m: f((m, I2)), f"{name}_{bad}_array")
+            for name, f in CHAIN_TAKERS.items()
+            for bad, m in NON_INVOLUTIONS.items()]
 
 
 @pytest.mark.parametrize("probe", [
@@ -113,7 +137,7 @@ def nan_spec():
     (DimensionMismatchError,
      lambda: lu_equivalent(SCALAR_STATE, SCALAR_STATE, [gate("h")])),
     (DimensionMismatchError, lambda: apply_single_qubit(gate("h"), EMPTY_STATE, 1)),
-    (DimensionMismatchError, lambda: apply_single_qubit(gate("h"), 3, 1)),
+    lambda: apply_single_qubit(gate("h"), 3, 1),
     (DimensionMismatchError, lambda: vn_entropy(np.ones(4))),
     (DimensionMismatchError, lambda: vn_entropy(np.ones((2, 4)))),
     (DimensionMismatchError, lambda: vn_entropy(np.array(1.0))),
@@ -129,6 +153,20 @@ def nan_spec():
     lambda: apply_in_place(None, basis_state("00"), 1),
     lambda: apply_in_place([[0, 1], [1, "x"]], basis_state("00"), 1),
     lambda: lu_equivalent(GHZ3, GHZ3, ["h", "h", "h"]),
+    *(probe for probe, _ in _chain_probes()),
+    lambda: jones_pairs(RepShape(3, 1), P8, (np.stack([I2, 2 * I2]), I2)),
+    (DimensionMismatchError,
+     lambda: jones_pairs(RepShape(3, 1), P8, (np.eye(3), I2))),
+    (DimensionMismatchError,
+     lambda: jones_pairs(RepShape(3, 1), P8, (np.ones((1, 1, 2, 2)), I2))),
+    lambda: jones_pairs(RepShape(3, 1), P8, None),
+    lambda: vn_entropy(np.zeros((2, 2))),
+    lambda: vn_entropy(-np.eye(2)),
+    lambda: vn_entropy(5 * np.eye(2)),
+    lambda: apply_single_qubit(gate("x"), [1, 0], 1),
+    lambda: entanglement_report(GHZ3, [1], support=np.array([0, 99])),
+    lambda: entanglement_report(GHZ3, [1], support="abc"),
+    lambda: entanglement_report(GHZ3, [1], support=np.array([0.0, 7.0])),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -165,7 +203,15 @@ def nan_spec():
         "phase_equivalent_text_entry", "apply_single_qubit_text_matrix",
         "apply_single_qubit_none_entry", "apply_single_qubit_text_state",
         "apply_in_place_none_matrix", "apply_in_place_text_entry",
-        "lu_equivalent_text_locals"])
+        "lu_equivalent_text_locals",
+        *(probe_id for _, probe_id in _chain_probes()),
+        "jones_pairs_stack_with_a_non_involution", "jones_pairs_3x3_array",
+        "jones_pairs_4d_array", "jones_pairs_no_chain",
+        "vn_entropy_zero_trace", "vn_entropy_negative",
+        "vn_entropy_trace_10", "apply_single_qubit_list_state",
+        "entanglement_report_support_out_of_range",
+        "entanglement_report_text_support",
+        "entanglement_report_float_support"])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)
@@ -212,6 +258,45 @@ def test_fuzz_constructors_raise_only_typed_errors(call):
         fn(*args)
     except TLBraidError:
         pass
+
+
+def _is_involution(m) -> bool:
+    try:
+        involution_matrix(m)
+        return True
+    except TLBraidError:
+        return False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(entry=_MATRICES.map(np.array)
+       | st.lists(_MATRICES, min_size=2, max_size=2).map(np.array))
+def test_jones_pairs_take_an_array_only_if_each_member_is_an_involution(entry):
+    # a 2x2 array or a 2-member stack is checked as its members are
+    valid = all(map(_is_involution, entry.reshape(-1, 2, 2)))
+    _returns_or_refuses(
+        lambda: jones_pairs(RepShape(3, 2), P8, (entry, "x")), valid)
+
+
+def test_a_stack_gives_the_dense_operators_of_its_members():
+    shape, p = RepShape(3, 2), tl_params(0.3, 1.1)
+    first = np.array([gate(name) for name in ("h", "y", "z", "i")])
+    second = first[::-1].copy()
+    stacked = jones_pairs(shape, p, (first, second))
+    for i in range(len(first)):
+        single = jones_pairs(shape, p, (first[i], second[i]))
+        for ops, ops_i in zip(stacked, single):
+            for op, op_i in zip(ops, ops_i):
+                # E1 and b1 hold no chain term: one matrix for every member
+                dense = np.broadcast_to(op.dense(), (len(first), 8, 8))
+                assert np.array_equal(dense[i], op_i.dense())
+
+
+def test_a_checked_chain_is_taken_as_is():
+    spec = involution_spec(["h", np.array([[0, 1], [1, 0]])])
+    assert involution_spec(spec) is spec
+    pairs = jones_pairs(RepShape(3, 2), P8, spec)
+    assert all(op.spec is spec for ops in pairs for op in ops)
 
 
 _LABELS = (st.integers(-1, 4) | st.integers() | st.booleans()

@@ -683,6 +683,19 @@ class TestFlagContract:
         assert run_cli(capsys, "generate", "basis-superpose", "--state", "01",
                        "--inverse")[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "basis-superpose", "--state", "000", "--k", "2",
+         "--s", "x,x,x"],
+        ["apply", "b1", "--state", "000", "--s", "x"],
+    ])
+    def test_involution_count_is_checked_where_the_chain_enters(self, capsys,
+                                                                argv):
+        code, out, err = run_cli(capsys, *argv)
+        error = json.loads(err)
+        assert code == 2 and out == ""
+        assert error["error"] == "DimensionMismatchError"
+        assert "involutions for n=3" in error["message"]
+
     def test_measuring_the_only_qubit_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--state", "0",
                                  "--measure", "1")

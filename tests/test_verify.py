@@ -11,7 +11,7 @@ import pytest
 from tlbraid import (RelationCheck, RelationReport, RepShape,
                      check_tl_relations, dagger, jones_representation,
                      max_abs, tl_params, tl_projectors)
-from tlbraid import DomainError, linalg, verify
+from tlbraid import DomainError, linalg, tla, verify
 from tlbraid.reports import ReportAccumulator
 from tlbraid.tla import involution_spec
 from tlbraid.verify import (GRID_CHUNK_BYTES, GRID_INVOLUTIONS, GRID_PHIS,
@@ -116,6 +116,20 @@ def test_failure_aggregation_records_worst_point():
     assert not report.passed
     worst = report.failures()[0]
     assert "theta=" in worst.worst_at
+
+
+def test_each_chunk_chain_is_checked_once(monkeypatch):
+    # n = 3 over {x, h}: the two names, then one chunk of 4 assignments
+    # whose two stacked slots its 3 x 10 (k, phi, theta) slices share
+    checked = []
+    check = tla.involution_matrix
+    monkeypatch.setattr(tla, "involution_matrix",
+                        lambda s: checked.append(np.shape(s)) or check(s))
+    grids = list(iter_grid(n=3, s=["x", "h"]))
+    assert len(grids) == 30 and checked == [()] * 2 + [(4, 2, 2)] * 2
+    spec = grids[0].pairs.projectors[0].spec
+    assert all(op.spec is spec for grid in grids
+               for ops in grid.pairs for op in ops)
 
 
 def test_hoisted_assembly_matches_tl_projectors():
