@@ -36,6 +36,8 @@ class BraidWord:
 
 def parse(text: str, declared_strands: Optional[int] = None) -> BraidWord:
     """Parse braid-word text; syntax errors carry the character position."""
+    if not isinstance(text, str):
+        raise DomainError(f"a braid word is text, got {type(text).__name__}")
     if declared_strands is not None and \
             as_int(declared_strands, "declared_strands") < 2:
         raise DomainError(f"need at least 2 strands, got {declared_strands}")

@@ -3,8 +3,10 @@
 Angles accept plain floats or simple pi expressions ("pi/8", "-pi/6",
 "3*pi/4").  States are given as bit strings ("0101") or "@file" references
 to the JSON interchange format or to a subcommand's JSON output.  Flags
-override values from --config FILE (a JSON object with the same key names);
-a key the command does not read (see READS) is refused.
+override values from --config FILE (a JSON object with the same key names).
+READS lists the keys and flags each command reads and NEEDS those a choice
+requires; a key given but not read ("generate ghz does not read --k") or
+needed but not given ("generate cluster needs --k") is refused.
 Exit codes: 0 all checks passed, 1 a verification check failed, 2
 usage/config/domain error.
 """
@@ -123,49 +125,36 @@ def _fits(hint, value) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-#: The RunConfig keys each command reads besides format and out, by verify
-#: suite (from the suite table), generate kind and apply representation,
-#: which are also the commands' choices; `verify all` reads the union of its
-#: suites' keys.  Any other key set by a flag or the config file is refused.
+#: The RunConfig keys and own flags each command reads besides format and
+#: out, by verify suite (from the suite table), generate kind and apply
+#: representation, which are also the commands' choices; `verify all` reads
+#: its suites' rows and `entropy --measure` adds a row.  NEEDS names the keys
+#: a choice requires.
 _PARAMS = {"theta", "phi", "a_sign", "b_sign"}
 _KINDS = {
-    "ghz": _PARAMS | {"n", "tol"},
+    "ghz": _PARAMS | {"n", "tol", "inverse"},
     "cluster": _PARAMS | {"n", "k", "tol"},
-    "basis-superpose": _PARAMS | {"n", "k", "s", "tol"},
+    "basis-superpose": _PARAMS | {"n", "k", "s", "tol", "state", "inverse"},
 }
-_REPS = {"jones": _PARAMS | {"n", "k", "s"}, "bell": {"n"}}
+_REPS = {"jones": _PARAMS | {"n", "k", "s", "state"}, "bell": {"n", "state"}}
 READS = {**{name: suite.reads for name, suite in verify_mod.SUITES.items()},
-         **_KINDS, **_REPS, "entropy": {"tol"}}
+         **_KINDS, **_REPS, "entropy": {"tol", "state", "cut", "measure"},
+         "entropy --measure": {"outcome"}}
+NEEDS = {"ghz": {"n"}, "cluster": {"n", "k"}, "basis-superpose": {"state"}}
+_KEYS = {"format", "out"}.union(*READS.values())
 
 
-def _reads(args: argparse.Namespace) -> tuple[str, set[str]]:
-    """The command's name and the RunConfig keys it reads."""
+def _rows(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    """The command's name and its rows of READS."""
     if args.command == "verify":
-        name = f"verify {args.suite}"
-        parts = verify_mod.SUITES if args.suite == "all" else (args.suite,)
-    elif args.command == "generate":
-        name, parts = f"generate {args.kind}", (args.kind,)
-    elif args.command == "apply":
-        name, parts = f"apply --rep {args.rep}", (args.rep,)
-    else:
-        name, parts = args.command, (args.command,)
-    return name, {"format", "out"}.union(*(READS[p] for p in parts))
-
-
-def _unread_flags(args: argparse.Namespace) -> list[str]:
-    """The command's own flags that were given but would not be read:
-    --state outside basis-superpose, --inverse on cluster, and --outcome
-    without --measure."""
-    unread = []
+        rows = tuple(verify_mod.SUITES) if args.suite == "all" else (args.suite,)
+        return f"verify {args.suite}", rows
     if args.command == "generate":
-        if args.state is not None and args.kind != "basis-superpose":
-            unread.append("--state")
-        if args.inverse and args.kind == "cluster":
-            unread.append("--inverse")
-    if args.command == "entropy" and args.outcome is not None \
-            and args.measure is None:
-        unread.append("--outcome without --measure")
-    return unread
+        return f"generate {args.kind}", (args.kind,)
+    if args.command == "apply":
+        return f"apply --rep {args.rep}", (args.rep,)
+    measured = () if args.measure is None else ("entropy --measure",)
+    return "entropy", ("entropy", *measured)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -188,17 +177,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
             if value is not None:
                 given.add(key)
-    for key in hints:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    for key, value in vars(args).items():
+        if key in _KEYS and value is not None:
+            if key in hints:
+                setattr(cfg, key, value)
             given.add(key)
-    name, reads = _reads(args)
-    if given - reads:
-        raise DomainError(f"{name} does not read {sorted(given - reads)}")
-    unread = _unread_flags(args)
-    if unread:
-        raise DomainError(f"{name} does not read {', '.join(unread)}")
+    name, rows = _rows(args)
+    reads = {"format", "out"}.union(*(READS[r] for r in rows))
+    needs = set().union(*(NEEDS.get(r, ()) for r in rows))
+    for verb, keys in (("does not read", given - reads), ("needs", needs - given)):
+        if keys:
+            raise DomainError(f"{name} {verb} " + ", ".join(
+                f"--{key.replace('_', '-')}" for key in sorted(keys)))
     cfg.params()    # reject out-of-domain theta at load time
     if cfg.tol is not None and not 0 <= cfg.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {cfg.tol}")
@@ -305,18 +295,12 @@ def cmd_generate(cfg: RunConfig, kind: str, state: Optional[str],
     params = cfg.params()
     tol = cfg.tol if cfg.tol is not None else 1e-9
     if kind == "ghz":
-        if cfg.n is None:
-            raise DomainError("generate ghz needs --n")
         v = ghz_state(cfg.n, params=params, use_inverse=inverse)
         k = 1
     elif kind == "cluster":
-        if cfg.n is None or cfg.k is None:
-            raise DomainError("generate cluster needs --n and --k")
         v = cluster_like_state(cfg.n, cfg.k, params=params)
         k = cfg.k
     else:       # basis-superpose
-        if state is None:
-            raise DomainError("generate basis-superpose needs --state BITS")
         bits = parse_bits(state)
         n = len(bits)
         if cfg.n is not None and cfg.n != n:
@@ -415,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=list(_KINDS))
     p_gen.add_argument("--state", default=None,
                        help="basis bits for basis-superpose, e.g. 0101")
-    p_gen.add_argument("--inverse", action="store_true",
+    p_gen.add_argument("--inverse", action="store_true", default=None,
                        help="apply the adjoint operator instead")
 
     p_apply = sub.add_parser("apply", parents=[common],
@@ -443,7 +427,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "generate":
-            return cmd_generate(cfg, args.kind, args.state, args.inverse)
+            return cmd_generate(cfg, args.kind, args.state, bool(args.inverse))
         if args.command == "apply":
             return cmd_apply(cfg, args.word, args.state, args.rep)
         return cmd_entropy(cfg, args.state, args.cut, args.measure,

@@ -126,7 +126,7 @@ def measure_qubit(v: np.ndarray, qubit: int, outcome: int) -> tuple[float, np.nd
         raise DomainError(f"outcome must be 0 or 1, got {outcome}")
     picked = v.reshape(1 << (qubit - 1), 2, 1 << (n - qubit))[:, outcome, :].reshape(-1)
     prob = float(np.vdot(picked, picked).real)
-    if prob <= 1e-12:
+    if not 1e-12 < prob < np.inf:       # NaN and Inf too
         raise DomainError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )

@@ -55,7 +55,11 @@ def parse_bits(bits: Bits) -> tuple[int, ...]:
         if set(bits.strip()) - {"0", "1"}:
             raise DomainError(f"bits must be 0 or 1, got {bits!r:.80}")
         bits = [int(c) for c in bits.strip()]
-    out = tuple(as_int(b, "a bit") for b in bits)
+    try:
+        out = tuple(as_int(b, "a bit") for b in bits)
+    except TypeError:       # no iterable
+        raise DomainError(f"bits must be a bit string or sequence, "
+                          f"got {bits!r:.40}") from None
     if len(out) < 1:
         raise DomainError("bit string must contain at least one bit")
     if any(b not in (0, 1) for b in out):
@@ -248,12 +252,18 @@ def ghz_state(n: int, params: Optional[TLParams] = None,
     return apply_to_basis(op, [0] * n, inverse=use_inverse)
 
 
+def _cluster_size(n: int, k: int) -> tuple[int, int]:
+    """n and k as integers, with n >= 2."""
+    n, k = as_int(n, "n"), as_int(k, "k")
+    if n < 2:
+        raise DomainError(f"cluster-like states need n >= 2, got n={n}")
+    return n, k
+
+
 def _cluster_terms(n: int, k: int, params: Optional[TLParams],
                    sources) -> tuple[np.ndarray, np.ndarray]:
     """The terms of B(n,k) B^-1(n,1) on each basis state of `sources`:
     two per source, then four."""
-    if n < 2:
-        raise DomainError(f"cluster-like states need n >= 2, got n={n}")
     op1 = structured_braid_op(RepShape(n=n, k=1), params=params)
     opk = structured_braid_op(RepShape(n=n, k=k), params=params)
     ones = np.ones(len(sources))
@@ -268,6 +278,7 @@ def cluster_like_state(n: int, k: int,
     Entangled for n >= 2 and k > 1 (k=1 collapses to the identity action);
     at n=4, k=3 this is the 4-qubit linear cluster state.
     """
+    n, k = _cluster_size(n, k)
     return _scatter(n, *_cluster_terms(n, k, params, [0]))
 
 
@@ -279,6 +290,7 @@ def cluster_family(n: int, k: int,
     Dense-cap bound (n <= DENSE_CAP_QUBITS): the family as a whole is
     matrix-sized.
     """
+    n, k = _cluster_size(n, k)
     if n > DENSE_CAP_QUBITS:
         raise CapacityError(f"cluster family on {n} qubits stores 4^{n} "
                             f"amplitudes; capped at n={DENSE_CAP_QUBITS}")

@@ -83,7 +83,8 @@ class RepShape:
     k: int
 
     def __post_init__(self):
-        as_int(self.n, "n"), as_int(self.k, "k")
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n={self.n}")
         if not 1 <= self.k <= self.n:

@@ -4,7 +4,7 @@ NaN fails every tolerance check (each is written `not x <= tol`), values
 that are no numbers are refused where they enter, integer arguments are
 read through operator.index (so 1.5, 2.0 and "1" are refused rather than
 truncated or converted), and a state holding NaN or Inf is refused by its
-cut reports.
+cut reports and by measure_qubit.
 """
 
 import math
@@ -25,6 +25,7 @@ from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
                      reduced_density, schmidt_rank, structured_braid_op,
                      tl_params, tl_projectors, verify, vn_entropy)
 from tlbraid.linalg import apply_in_place
+from tlbraid.states import bits_to_index, cluster_family, cluster_like_state
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
@@ -167,6 +168,16 @@ def _chain_probes():
     lambda: entanglement_report(GHZ3, [1], support=np.array([0, 99])),
     lambda: entanglement_report(GHZ3, [1], support="abc"),
     lambda: entanglement_report(GHZ3, [1], support=np.array([0.0, 7.0])),
+    lambda: measure_qubit(NAN_STATE, 1, 0),
+    lambda: measure_qubit(np.array([math.inf, 0, 0, 1], dtype=complex), 1, 0),
+    lambda: cluster_family(-1, 2),
+    lambda: cluster_family(2.5, 2),
+    lambda: cluster_like_state("3", 2),
+    lambda: parse_bits(3),
+    lambda: basis_state(None),
+    lambda: bits_to_index(5),
+    lambda: parse(None),
+    lambda: parse(3),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -211,12 +222,22 @@ def _chain_probes():
         "vn_entropy_trace_10", "apply_single_qubit_list_state",
         "entanglement_report_support_out_of_range",
         "entanglement_report_text_support",
-        "entanglement_report_float_support"])
+        "entanglement_report_float_support",
+        "measure_qubit_nan_state", "measure_qubit_inf_state",
+        "cluster_family_negative_n", "cluster_family_float_n",
+        "cluster_like_state_text_n", "parse_bits_int", "basis_state_none",
+        "bits_to_index_int", "parse_none", "parse_int"])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)
     with pytest.raises(error):
         probe()
+
+
+def test_integer_sizes_are_stored_as_ints():
+    # True passes operator.index as 1, and is kept as the int it reads as
+    assert type(RepShape(True, True).n) is int
+    assert np.array_equal(ghz_state(True), ghz_state(1))
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("H", " z")])

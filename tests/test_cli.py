@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -642,8 +643,9 @@ class TestFlagContract:
             cfg.write_text(json.dumps(config))
             argv = argv + ["--config", str(cfg)]
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "DomainError"
+        error = json.loads(err)
+        assert code == 2 and out == "" and error["error"] == "DomainError"
+        assert "--" in error["message"]     # the key named as its flag
 
     def test_verify_all_reads_every_suites_keys(self, capsys):
         code, obj, _ = run_json(capsys, "verify", "all", "--n", "2", "--k", "1",
@@ -660,7 +662,30 @@ class TestFlagContract:
 
     def test_every_key_is_read_somewhere(self):
         assert set().union(*cli.READS.values()) | {"format", "out"} \
-            == set(cli.RunConfig.__dataclass_fields__)
+            == set(cli.RunConfig.__dataclass_fields__) \
+            | {"state", "inverse", "cut", "measure", "outcome"}
+
+    def test_every_flag_is_in_the_table(self):
+        # besides --config and the row selector --rep, an optional flag that
+        # is no key of READS would escape the unread check
+        keys = set().union(*cli.READS.values()) | {"format", "out"}
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        for name, parser in subcommands.choices.items():
+            for action in parser._actions:
+                if action.option_strings and action.dest != "help":
+                    assert action.dest in keys | {"config", "rep"}, \
+                        (name, action.option_strings)
+
+    def test_needs_name_the_missing_flag(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "generate", "cluster", "--n", "4")
+        error = json.loads(err)
+        assert code == 2 and out == "" and error["error"] == "DomainError"
+        assert error["message"] == "generate cluster needs --k"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 3}))
+        assert run_cli(capsys, "generate", "cluster",
+                       "--config", str(cfg))[0] == 0
 
     @pytest.mark.parametrize("argv, flag", [
         (["generate", "ghz", "--n", "3", "--state", "000"], "--state"),
@@ -669,7 +694,10 @@ class TestFlagContract:
         (["generate", "cluster", "--n", "4", "--k", "3", "--inverse"],
          "--inverse"),
         (["entropy", "--state", "01", "--outcome", "1"], "--outcome"),
-    ], ids=["ghz_state", "cluster_state", "cluster_inverse", "outcome"])
+        # a zero value is given too
+        (["entropy", "--state", "01", "--outcome", "0"], "--outcome"),
+    ], ids=["ghz_state", "cluster_state", "cluster_inverse", "outcome",
+            "outcome_zero"])
     def test_unread_flags_exit_2(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
