@@ -65,12 +65,6 @@ def _kron_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def low_axes(n: int) -> int:
-    """How many low axes a block of an n-qubit pass spans: blocks hold at
-    most an eighth of the state and `linalg.BLOCK_AMPS` amplitudes."""
-    return max(0, min(n - 3, linalg.BLOCK_AMPS.bit_length() - 1))
-
-
 def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
                 mixers: Sequence[tuple[int, np.ndarray]], k: int,
                 diag0: complex, diag1: complex) -> np.ndarray:
@@ -82,7 +76,8 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     of the diagonal block diag(diag0, diag1).
     """
     n = len(coeffs)
-    low = low_axes(n)
+    # blocks hold at most an eighth of the state and BLOCK_AMPS amplitudes
+    low = max(0, min(n - 3, linalg.BLOCK_AMPS.bit_length() - 1))
     top = n - low
     # target bit x picks up the coefficient of its source bit x ^ flip
     table = np.where(np.array(flips)[:, None], coeffs[:, ::-1], coeffs)

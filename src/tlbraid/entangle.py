@@ -48,6 +48,16 @@ def _validate_subset(subset, n: int) -> tuple[int, ...]:
     return keep
 
 
+def _require_tol(tol) -> None:
+    """DomainError unless tol is a finite real >= 0 (NaN fails too)."""
+    try:
+        ok = 0 <= tol < np.inf
+    except (TypeError, ValueError):     # no number, or an array
+        ok = False
+    if not ok:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r:.40}")
+
+
 def _require_density(rho: np.ndarray) -> None:
     """DomainError unless rho is a numeric array (`require_array`),
     DimensionMismatchError unless it is one square matrix."""
@@ -190,6 +200,7 @@ def schmidt_rank(v: np.ndarray, bipartition, tol: float = 1e-9) -> int:
     rounding noise of about 1e-17 would read as 3e-9 and count a product cut
     as entangled.
     """
+    _require_tol(tol)
     sv = _schmidt_coefficients(v, _validate_subset(bipartition, num_qubits(v)))
     return int(np.count_nonzero(sv > tol))
 
@@ -232,6 +243,7 @@ def entanglement_report(v: np.ndarray, bipartition, tol: float = 1e-9,
     support, which must be `np.flatnonzero(v)` (a 1-D integer array of
     indices into v), may be passed to share it among the cuts of one state.
     """
+    _require_tol(tol)
     keep = _validate_subset(bipartition, num_qubits(v))
     if support is not None and not (
             isinstance(support, np.ndarray) and support.ndim == 1

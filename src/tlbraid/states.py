@@ -6,29 +6,26 @@ has the slot-chain form
     B(n,k) = I^(k-1) x D x I^(n-k)  +  s_1..s_{k-1} x F x s_{k+1}..s_n
 
 and the pair product gives D = diag(d a^2, d b^2 + A^-2) and antidiagonal
-F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a basis
-state it therefore produces at most two terms, and acting on an arbitrary
-state it needs one linear pass over the amplitudes instead of a 2^n x 2^n
-matrix.  Both forms read one per-slot table (`_slot_table`): the
-coefficients each slot's source bit picks up, the slots that flip their
-bit, the slots that mix basis states, and the slot-k diagonal.
+F = [[0, -e^{-i phi} A^4 d a b], [e^{i phi} d a b, 0]].  Acting on a
+product state it therefore gives two product states, and acting on an
+arbitrary state it needs one linear pass over the amplitudes instead of a
+2^n x 2^n matrix.
 
 States built from basis states (`ghz_state`, `cluster_like_state`,
-`cluster_family`, `apply_to_basis`) go term by term (`_apply_terms`): each
-term gives its diagonal term and one chain term, which each mixing slot
-splits in two, so a basis state with m mixing slots gives at most
-2^m + 1 terms at O(m) work each, never more work than the pass.  The terms
-are added into one zero state, which is the only state-sized array.
+`cluster_family`, `apply_to_basis`) are held as product terms, which
+`_product_terms` maps r to 2r whatever the dressing: a GHZ state is two
+terms, a cluster-like state four.  `_expand` adds each term into one zero
+state as one strided block, with no index array per amplitude.
 
 `apply_structured` runs the pass on any state through the axis-wise kernel
-in `_kernels`: monomial slots (I and the Paulis) scale and flip their qubit
-axis, and slots that mix basis states (e.g. the Hadamard involution) are
-contracted with their 2x2, in place in the result.  The result is the one
-state-sized array a pass allocates; its other temporaries are bounded
-blocks.  For a dressing with no mixing slot, from 2^20 amplitudes, the
-kernel writes its blocks on the usable cores, one thread per 8 blocks at
-most (see `_kernels`); the result is the same, bit for bit, on any number
-of threads.
+in `_kernels`, from one per-slot table (`_slot_table`): monomial slots (I
+and the Paulis) scale and flip their qubit axis, and slots that mix basis
+states (e.g. the Hadamard involution) are contracted with their 2x2, in
+place in the result.  The result is the one state-sized array a pass
+allocates; its other temporaries are bounded blocks.  For a dressing with
+no mixing slot, from 2^20 amplitudes, the kernel writes its blocks on the
+usable cores, one thread per 8 blocks at most (see `_kernels`); the result
+is the same, bit for bit, on any number of threads.
 """
 
 from __future__ import annotations
@@ -41,7 +38,8 @@ from . import _kernels
 from .errors import CapacityError, DimensionMismatchError, DomainError, as_int
 from .linalg import DENSE_CAP_QUBITS, max_abs, num_qubits
 from .tla import (RepShape, StructuredBraidOp, TLParams,
-                  default_involution_spec, jones_pairs, tl_params)
+                  default_involution_spec, jones_pairs, require_instance,
+                  tl_params)
 
 STRUCTURED_CAP_QUBITS = 26      # 2^26 amplitudes ~ 1 GiB
 _MONOMIAL_TOL = 1e-14
@@ -76,6 +74,9 @@ def bits_to_index(bits: Bits) -> int:
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     index, n = as_int(index, "an index"), as_int(n, "n")
+    if n < 1 or index < 0 or index.bit_length() > n:
+        raise DomainError(
+            f"need n >= 1 and 0 <= index < 2^n, got index={index}, n={n}")
     return tuple((index >> (n - j)) & 1 for j in range(1, n + 1))
 
 
@@ -114,7 +115,7 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     P^+P + Q^+Q = I and P^+Q + Q^+P = 0; for n <= 8 it is also
     cross-validated against the dense product of the Jones generators.
     """
-    n = shape.n
+    n = require_instance(shape, RepShape).n
     if n > STRUCTURED_CAP_QUBITS:
         raise CapacityError(
             f"n={n} exceeds the structured cap {STRUCTURED_CAP_QUBITS}"
@@ -173,69 +174,73 @@ def apply_structured(op: StructuredBraidOp, v: np.ndarray,
     return _kernels.gather_pass(v, *_slot_table(op, inverse))
 
 
-def _apply_terms(op: StructuredBraidOp, idx, amps, inverse: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The terms (indices, amplitudes) of op (or its adjoint) applied to
-    sum_i amps[i] |idx[i]>, without a state-sized array.
-
-    Each input term gives its diagonal term d(x_k) amp at idx and a chain
-    term at idx ^ (the flipping slots), whose coefficient is folded as the
-    pass folds it (low block axes, then top axes); each mixing slot splits
-    every chain term in two by its 2x2 column.  So m input terms give
-    m (1 + 2^mixers) terms, output term j coming from input term j mod m.
-    Terms are never merged: an index may repeat, and `_scatter` adds them.
-    """
-    coeffs, flips, mixers, k, diag0, diag1 = _slot_table(op, inverse)
-    n = len(flips)
-    idx = np.asarray(idx, dtype=np.int64)
-    amps = np.asarray(amps, dtype=np.complex128)
-    m = idx.size
-
-    def fold(axes) -> np.ndarray:
-        c = np.ones(m, dtype=np.complex128)
-        for axis in axes:
-            c *= coeffs[axis, (idx >> (n - 1 - axis)) & 1]
-        return c
-
-    top = n - _kernels.low_axes(n)
-    flipmask = sum(1 << (n - 1 - axis) for axis, flip in enumerate(flips) if flip)
-    out_idx = np.empty(m + (m << len(mixers)), dtype=np.int64)
-    out_amps = np.empty(out_idx.size, dtype=np.complex128)
-    out_idx[:m] = idx
-    out_amps[:m] = amps * np.where((idx >> (n - k)) & 1, diag1, diag0)
-    chain_idx, chain = out_idx[m:], out_amps[m:]
-    chain_idx[:m] = idx ^ flipmask
-    chain[:m] = amps * fold(range(top, n)) * fold(range(top))
-    size = m
-    for axis, m2 in mixers:
-        bit = 1 << (n - 1 - axis)
-        x = (chain_idx[:size] & bit) != 0
-        chain_idx[size:2 * size] = chain_idx[:size] | bit
-        chain_idx[:size] &= ~bit
-        chain[size:2 * size] = chain[:size] * np.where(x, m2[1, 1], m2[1, 0])
-        chain[:size] *= np.where(x, m2[0, 1], m2[0, 0])
-        size *= 2
-    return out_idx, out_amps
+def _basis_terms(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the (..., n) bit array as one product term: coefficients
+    (..., 1) of 1 and local vectors (..., 1, n, 2), e_0 or e_1 per qubit."""
+    local = np.eye(2, dtype=np.complex128)[np.asarray(bits)][..., None, :, :]
+    return np.ones(local.shape[:-2], np.complex128), local
 
 
-def _scatter(n: int, idx: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """The n-qubit state sum_i amps[i] |idx[i]>, repeated indices added."""
-    out = np.zeros(1 << n, dtype=np.complex128)
-    np.add.at(out, idx, amps)
-    return out
+def _product_terms(op: StructuredBraidOp, coeffs: np.ndarray,
+                   local: np.ndarray, inverse: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """op (or its adjoint) on r product terms, coefficients (..., r) and
+    local vectors (..., r, n, 2): the r diagonal terms (D on slot k's vector)
+    then the r chain terms (each slot's 2x2 on its own vector)."""
+    if inverse:
+        op = op.dagger()
+    k = op.shape.k
+    diagonal = local.copy()
+    diagonal[..., k - 1, :] *= np.diagonal(op.diag_block)
+    factors = np.stack([*op.spec[:k - 1], op.offdiag_block, *op.spec[k - 1:]])
+    chain = (factors @ local[..., None])[..., 0]
+    return (np.concatenate([coeffs, coeffs], axis=-1),
+            np.concatenate([diagonal, chain], axis=-3))
+
+
+def _expand(coeffs: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The states sum_t coeffs[..., t] (x)_j local[..., t, j], 2^n amplitudes
+    per leading index.  Each term is added as one block of the state viewed
+    as (2,)*n: a qubit whose vector has at most one nonzero entry fixes its
+    bit, any other spans both values; terms spanning the same qubits are
+    added together, repeated blocks summed."""
+    *batch, r, n, _ = local.shape
+    out = np.zeros((int(np.prod(batch)),) + (2,) * n, np.complex128)
+    coeffs, local = coeffs.reshape(-1), local.reshape(-1, n, 2)
+    rows = np.arange(coeffs.size) // r
+    nonzero = local != 0
+    spans = nonzero[..., 0] & nonzero[..., 1]
+    bits = (nonzero[..., 1] & ~spans).astype(np.intp)
+    factors = np.where(spans, 1, np.where(bits, local[..., 1], local[..., 0]))
+    scale = coeffs.copy()
+    for column in factors.T:    # not np.prod, which rounds some differently
+        scale *= column
+    patterns = spans @ (1 << np.arange(n))
+    # not np.unique, whose first call imports numpy.ma (about 12 ms)
+    for pattern in sorted(set(patterns.tolist())):
+        terms = patterns == pattern
+        span = spans[np.argmax(terms)]
+        spanned, held = np.flatnonzero(span), np.flatnonzero(~span)
+        block = scale[terms]
+        for j in spanned[::-1]:
+            # each new axis goes in front, so the multiply streams the block
+            block = np.multiply(block[:, None], local[terms, j].reshape(
+                -1, 2, *(1,) * (block.ndim - 1)))
+        view = out.transpose(0, *(held + 1), *(spanned + 1))
+        np.add.at(view, (rows[terms], *bits[terms][:, held].T), block)
+    return out.reshape(*batch, 1 << n)
 
 
 def apply_to_basis(op: StructuredBraidOp, bits: Bits,
                    inverse: bool = False) -> np.ndarray:
-    """op|bits> (or its adjoint on |bits>), built from its at most
-    1 + 2^(mixing slots) terms; the one state-sized array is the result."""
+    """op|bits> (or its adjoint on |bits>), built from its two product
+    terms; the one state-sized array is the result."""
     bits = parse_bits(bits)
     n = op.shape.n
     if len(bits) != n:
         raise DimensionMismatchError(
             f"state has {len(bits)} qubits, operator acts on {n}")
-    terms = _apply_terms(op, [bits_to_index(bits)], [1.0], inverse)
-    return _scatter(n, *terms)
+    return _expand(*_product_terms(op, *_basis_terms(bits), inverse))
 
 
 def ghz_state(n: int, params: Optional[TLParams] = None,
@@ -261,13 +266,13 @@ def _cluster_size(n: int, k: int) -> tuple[int, int]:
 
 
 def _cluster_terms(n: int, k: int, params: Optional[TLParams],
-                   sources) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of B(n,k) B^-1(n,1) on each basis state of `sources`:
-    two per source, then four."""
+                   bits) -> tuple[np.ndarray, np.ndarray]:
+    """The four product terms of B(n,k) B^-1(n,1) on each basis state, the
+    rows of the (..., n) bit array."""
     op1 = structured_braid_op(RepShape(n=n, k=1), params=params)
     opk = structured_braid_op(RepShape(n=n, k=k), params=params)
-    ones = np.ones(len(sources))
-    return _apply_terms(opk, *_apply_terms(op1, sources, ones, inverse=True))
+    return _product_terms(opk, *_product_terms(op1, *_basis_terms(bits),
+                                               inverse=True))
 
 
 def cluster_like_state(n: int, k: int,
@@ -279,13 +284,13 @@ def cluster_like_state(n: int, k: int,
     at n=4, k=3 this is the 4-qubit linear cluster state.
     """
     n, k = _cluster_size(n, k)
-    return _scatter(n, *_cluster_terms(n, k, params, [0]))
+    return _expand(*_cluster_terms(n, k, params, [0] * n))
 
 
 def cluster_family(n: int, k: int,
                    params: Optional[TLParams] = None) -> list[np.ndarray]:
     """B(n,k) B^-1(n,1) applied to every basis state: 2^n orthonormal states,
-    the rows of one 2^n x 2^n array filled from the terms of all 2^n inputs.
+    the rows of one 2^n x 2^n array expanded from the terms of all 2^n inputs.
 
     Dense-cap bound (n <= DENSE_CAP_QUBITS): the family as a whole is
     matrix-sized.
@@ -294,9 +299,5 @@ def cluster_family(n: int, k: int,
     if n > DENSE_CAP_QUBITS:
         raise CapacityError(f"cluster family on {n} qubits stores 4^{n} "
                             f"amplitudes; capped at n={DENSE_CAP_QUBITS}")
-    sources = np.arange(1 << n)
-    idx, amps = _cluster_terms(n, k, params, sources)
-    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    # output term j comes from source j mod 2^n
-    np.add.at(out, (np.resize(sources, idx.size), idx), amps)
-    return list(out)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return list(_expand(*_cluster_terms(n, k, params, bits)))

@@ -91,6 +91,14 @@ class RepShape:
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
+def require_instance(value, kind):
+    """value, or DomainError unless it is a `kind` (a RepShape or TLParams
+    reaching an operator)."""
+    if not isinstance(value, kind):
+        raise DomainError(f"need a {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 #: Involution names resolved through the gate table in `gates`.
 _INVOLUTION_NAMES = frozenset(("i", "x", "y", "z", "h",
                                "sigma1", "sigma2", "sigma3"))
@@ -260,6 +268,8 @@ def jones_pairs(shape: RepShape, p: TLParams, spec) -> JonesPairs:
     E1 = (e1, 0) and E2 = (e2, ab e3) with the blocks of `local_blocks`.
     spec goes through `involution_spec` once for all six operators.
     """
+    require_instance(shape, RepShape)
+    require_instance(p, TLParams)
     spec = involution_spec(spec)
     e1, e2, e3 = local_blocks(p)
     eye = np.eye(2, dtype=np.complex128)

@@ -30,6 +30,7 @@ from tlbraid.states import bits_to_index, cluster_family, cluster_like_state
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
 NAN_STATE = np.array([NAN, 0, 0, 1], dtype=complex)
+PRODUCT_STATE = basis_state("00")
 GHZ3 = ghz_state(3)
 GHZ3_RHO = np.outer(GHZ3, GHZ3.conj())
 B21 = structured_braid_op(RepShape(2, 1))
@@ -178,6 +179,15 @@ def _chain_probes():
     lambda: bits_to_index(5),
     lambda: parse(None),
     lambda: parse(3),
+    lambda: index_to_bits(8, 3),
+    lambda: index_to_bits(-1, 3),
+    lambda: index_to_bits(1, -2),
+    lambda: ghz_state(3, params=3),
+    lambda: cluster_like_state(3, 2, params="p"),
+    lambda: structured_braid_op((3, 1)),
+    lambda: jones_representation(None, RepShape(3, 1), ("x", "x")),
+    *(lambda f=f, tol=tol: f(PRODUCT_STATE, [1], tol=tol)
+      for f in (entanglement_report, schmidt_rank) for tol in (NAN, -1.0, "a")),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -226,7 +236,13 @@ def _chain_probes():
         "measure_qubit_nan_state", "measure_qubit_inf_state",
         "cluster_family_negative_n", "cluster_family_float_n",
         "cluster_like_state_text_n", "parse_bits_int", "basis_state_none",
-        "bits_to_index_int", "parse_none", "parse_int"])
+        "bits_to_index_int", "parse_none", "parse_int",
+        "index_to_bits_index_past_2_to_the_n", "index_to_bits_negative_index",
+        "index_to_bits_negative_n", "ghz_int_params",
+        "cluster_like_state_text_params", "structured_braid_op_tuple_shape",
+        "jones_representation_none_params",
+        *(f"{name}_{tol}_tol" for name in ("entanglement_report", "schmidt_rank")
+          for tol in ("nan", "negative", "text"))])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)

@@ -425,8 +425,8 @@ class TestSpreadPass:
 
 
 class TestTermMap:
-    """Basis inputs go through `_apply_terms`: a diagonal term and a chain
-    term per input term, the chain term split in two by each mixing slot."""
+    """Basis inputs go through `_product_terms`: a diagonal term and a chain
+    term per product term, whatever the dressing, expanded by `_expand`."""
 
     @staticmethod
     def op(n, k, names, theta=0.3, phi=1.1):
@@ -451,29 +451,39 @@ class TestTermMap:
                         got = states.apply_to_basis(op, bits, inverse)
                         assert max_abs(got - want) <= 1e-15, (k, names, idx)
 
-    def test_basis_input_gives_one_plus_two_to_the_mixers_terms(self):
-        names = ["h", "x", "h", "y", "h"]
-        idx, amps = states._apply_terms(self.op(6, 2, names), [0b101101], [1.0])
-        assert idx.size == amps.size == 1 + 2 ** 3
-        assert np.unique(idx).size == idx.size
+    def test_r_terms_give_2r_terms(self, rng):
+        op = self.op(6, 2, ["h", "x", "h", "y", "h"])
+        coeffs = rng.standard_normal((4, 3)) + 0j
+        local = rng.standard_normal((4, 3, 6, 2)) + 0j
+        out_coeffs, out_local = states._product_terms(op, coeffs, local)
+        assert out_coeffs.shape == (4, 6) and out_local.shape == (4, 6, 6, 2)
+        # the diagonal terms, then the chain terms, with their coefficients
+        assert np.array_equal(out_coeffs, np.concatenate([coeffs, coeffs], -1))
+        assert np.array_equal(np.delete(out_local[:, :3], 1, axis=2),
+                              np.delete(local, 1, axis=2))
+        # a basis state gives two terms, however many slots mix
+        terms = states._product_terms(op, *states._basis_terms([1, 0, 1, 1, 0, 1]))
+        assert terms[0].shape == (2,) and terms[1].shape == (2, 6, 2)
 
     @pytest.mark.parametrize("names", [["x", "y", "z", "i", "x"],
-                                       ["h", "x", "h", "z", "y"]])
+                                       ["h", "x", "h", "z", "y"],
+                                       *([c] * 5 for c in "ixyzh")])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_repeated_input_indices(self, rng, names, inverse):
         n = 6
         op = self.op(n, 3, names, theta=-0.2, phi=2.0)
-        idx = np.array([5, 9, 5, 0, 63, 9, 5])
-        amps = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-        v = states._scatter(n, idx, amps)
-        got = states._scatter(n, *states._apply_terms(op, idx, amps, inverse))
+        rows = rng.standard_normal((4, n, 2)) + 1j * rng.standard_normal((4, n, 2))
+        rows[1, 2, 1] = rows[2, :, 0] = 0    # some qubits fix their bit
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        local = rows[[0, 1, 0, 2, 3, 1, 0]]
+        coeffs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        coeffs /= np.linalg.norm(coeffs)
+        v = states._expand(coeffs, local)
+        want = sum(c * linalg.kron_all(*loc).ravel()
+                   for c, loc in zip(coeffs, local))
+        assert max_abs(v - want) <= 1e-15
+        got = states._expand(*states._product_terms(op, coeffs, local, inverse))
         assert max_abs(got - apply_structured(op, v, inverse)) <= 1e-14
-        # output term j comes from input term j mod m
-        out_idx, out_amps = states._apply_terms(op, idx, amps, inverse)
-        for i in range(idx.size):
-            one = states._apply_terms(op, idx[i:i + 1], amps[i:i + 1], inverse)
-            assert np.array_equal(out_idx[i::idx.size], one[0])
-            assert np.array_equal(out_amps[i::idx.size], one[1])
 
     @pytest.mark.parametrize("theta", [np.pi / 8, 0.3, -0.45, np.pi + 0.2])
     @pytest.mark.parametrize("n", [1, 2, 7, 17])
@@ -510,6 +520,18 @@ class TestTermMap:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * v.nbytes
+
+    def test_half_dense_peak_is_under_twice_the_state(self):
+        # all-H: the chain term spans 17 qubits, a block of half the state
+        op = self.op(18, 8, ["h"] * 17)
+        states.apply_to_basis(op, [0] * 18)
+        tracemalloc.start()
+        try:
+            v = states.apply_to_basis(op, [0] * 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * v.nbytes
 
     def test_bits_must_fit_the_operator(self):
         with pytest.raises(DimensionMismatchError):
@@ -573,6 +595,15 @@ class TestCluster:
         family = cluster_family(4, 3)
         gram = np.array([[np.vdot(u, w) for w in family] for u in family])
         assert max_abs(gram - np.eye(16)) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_family_rows_are_the_two_operators_on_each_basis_state(self, k):
+        op1 = structured_braid_op(RepShape(5, 1))
+        opk = structured_braid_op(RepShape(5, k))
+        for s, row in enumerate(cluster_family(5, k)):
+            v = basis_state(index_to_bits(s, 5))
+            want = apply_structured(opk, apply_structured(op1, v, inverse=True))
+            assert max_abs(row - want) <= 1e-15, s
 
     def test_family_capacity(self):
         with pytest.raises(CapacityError):
