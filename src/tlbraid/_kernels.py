@@ -6,9 +6,9 @@ axis per qubit (qubit 1 = axis 0, the most significant index bit) and writes
 the result block by block, one block per value of the top axes:
 
 1. fill the block with the chain's scale-and-flip part: the flipped view of
-   v (each maximal run of bit-flipping axes reversed) times the flipped
-   coefficient table, held as the Kronecker vector of the block's rows and
-   one scalar per block;
+   v (each maximal run of bit-flipping axes reversed) times the coefficient
+   table by target bit, held as the Kronecker vector of the block's rows
+   and one scalar per block;
 2. contract each slot whose 2x2 mixes basis states (H, tilted axes) with
    its 2x2, in place with `linalg.apply_in_place`;
 3. add the slot-k diagonal term d(x_k) v.
@@ -22,19 +22,14 @@ of the state's size: every temporary holds at most a quarter of the state
 and `linalg.BLOCK_AMPS` amplitudes.
 
 Every block is written from its own source block, weights, scale and
-diagonal, so for a dressing with no mixing slot the block loop is spread
-over the usable cores by `linalg._each_block`: the calling thread and up
-to one thread per other core take blocks in turn from a shared counter,
-then join.  There is at most one thread per 8 blocks, so the threads' block
-temporaries together hold at most an eighth of the state, and a state of
-fewer than 16 blocks (under 2^20 amplitudes) keeps one thread.  Dressings
-with a mixing slot run the same loop on the calling thread.  Spread, an
-inner mixer on the last block axes loses: `apply_in_place` contracts it by
-one matmul over rows of up to 32 amplitudes, and OpenBLAS's own thread
-pool then competes with the block threads (held to one BLAS thread, every
-mixer position gains).  The whole-state passes of outer mixers gained
-nothing below 2^24 amplitudes.  Each block does the same arithmetic either
-way, so the result does not depend on the number of threads.
+diagonal, so `linalg._each_block` can spread the block loop (see `states`
+for when); one thread per 8 blocks keeps the threads' block temporaries
+within an eighth of the state.  Dressings with a mixing slot keep one
+thread: spread, an inner mixer on the last block axes loses, as
+`apply_in_place` contracts it by one matmul over rows of up to 32
+amplitudes and OpenBLAS's own thread pool then competes with the block
+threads.  The whole-state passes of outer mixers gained nothing below 2^24
+amplitudes.
 """
 
 from __future__ import annotations
@@ -70,7 +65,8 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
                 diag0: complex, diag1: complex) -> np.ndarray:
     """d(x_k) v + (tensor chain) v for an n-qubit state v, as complex128.
 
-    `coeffs` is the (n, 2) table from `phase_vector`; `flips[j]` says whether
+    `coeffs` is the (n, 2) table from `phase_vector` by target bit: row j
+    holds what target bit 0/1 of axis j picks up; `flips[j]` says whether
     axis j's slot flips its bit; `mixers` lists (axis, 2x2) for the slots that
     mix basis states, whose table rows are (1, 1).  `k` is the 1-based slot
     of the diagonal block diag(diag0, diag1).
@@ -79,14 +75,12 @@ def gather_pass(v: np.ndarray, coeffs: np.ndarray, flips: Sequence[bool],
     # blocks hold at most an eighth of the state and BLOCK_AMPS amplitudes
     low = max(0, min(n - 3, linalg.BLOCK_AMPS.bit_length() - 1))
     top = n - low
-    # target bit x picks up the coefficient of its source bit x ^ flip
-    table = np.where(np.array(flips)[:, None], coeffs[:, ::-1], coeffs)
-    scales = _kron_rows(table[:top])
+    scales = _kron_rows(coeffs[:top])
     runs = [(flip, len(list(group))) for flip, group in groupby(flips[top:])]
     shape = [1 << size for _, size in runs]
     flipped = tuple(slice(None, None, -1) if flip else slice(None)
                     for flip, _ in runs)
-    weights = _kron_rows(table[top:]).reshape(shape)
+    weights = _kron_rows(coeffs[top:]).reshape(shape)
     source = sum(1 << (top - 1 - j) for j, flip in enumerate(flips[:top]) if flip)
     inner = [(axis - top + 1, m2) for axis, m2 in mixers if axis >= top]
     outer = [(axis + 1, m2) for axis, m2 in mixers if axis < top]

@@ -18,14 +18,18 @@ terms, a cluster-like state four.  `_expand` adds each term into one zero
 state as one strided block, with no index array per amplitude.
 
 `apply_structured` runs the pass on any state through the axis-wise kernel
-in `_kernels`, from one per-slot table (`_slot_table`): monomial slots (I
-and the Paulis) scale and flip their qubit axis, and slots that mix basis
-states (e.g. the Hadamard involution) are contracted with their 2x2, in
-place in the result.  The result is the one state-sized array a pass
-allocates; its other temporaries are bounded blocks.  For a dressing with
-no mixing slot, from 2^20 amplitudes, the kernel writes its blocks on the
-usable cores, one thread per 8 blocks at most (see `_kernels`); the result
-is the same, bit for bit, on any number of threads.
+in `_kernels`.  It reads every slot of the chain (`StructuredBraidOp.chain`,
+stacked once) by one rule: a slot with a zero diagonal flips its bit, else
+one with a zero off-diagonal only scales it, and any other slot (e.g. the
+Hadamard involution) mixes basis states and is contracted with its 2x2, in
+place in the result.  Q's diagonal is zero by construction, so slot k
+flips, even where Q = 0 (b1, E1).  A chain of (m, 2, 2) stacks stands for
+m operators: `dense()` takes it, no state does.  The result is the one
+state-sized array a pass allocates; its other temporaries are bounded
+blocks.  For a dressing with no mixing slot, from 2^20 amplitudes, the
+kernel writes its blocks on the usable cores, one thread per 8 blocks at
+most (see `_kernels`); the result is the same, bit for bit, on any number
+of threads.
 """
 
 from __future__ import annotations
@@ -91,20 +95,6 @@ def basis_state(bits: Bits) -> np.ndarray:
     return v
 
 
-def _monomial_parts(m2: np.ndarray):
-    """(flip, c0, c1) for a one-entry-per-column 2x2 matrix, else None.
-
-    c0/c1 are the coefficients picked up by source bit 0/1.
-    """
-    off = max(abs(m2[0, 1]), abs(m2[1, 0]))
-    diag = max(abs(m2[0, 0]), abs(m2[1, 1]))
-    if off <= _MONOMIAL_TOL:
-        return False, complex(m2[0, 0]), complex(m2[1, 1])
-    if diag <= _MONOMIAL_TOL:
-        return True, complex(m2[1, 0]), complex(m2[0, 1])
-    return None
-
-
 def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
                         spec: Optional[tuple[np.ndarray, ...]] = None
                         ) -> StructuredBraidOp:
@@ -127,6 +117,7 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     b1, b2 = jones_pairs(shape, params, spec).generators
     op = b1 @ b2
     op.require_unitary()
+    _state_chain(op)        # a stacked chain is refused before the cross-check
     if n <= 8:
         residual = max_abs(op.dense() - b1.dense() @ b2.dense())
         if not residual <= 1e-12:
@@ -136,30 +127,11 @@ def structured_braid_op(shape: RepShape, params: Optional[TLParams] = None,
     return op
 
 
-def _slot_table(op: StructuredBraidOp, inverse: bool = False):
-    """The per-slot table of a slot-chain operator (or of its adjoint), as
-    `_kernels.gather_pass` takes it after the state: the (n, 2) coefficients
-    picked up by source bit 0/1, whether each slot flips its bit, the
-    (axis, 2x2) of the slots that mix basis states (their rows are (1, 1)),
-    k, and the slot-k diagonal d(0), d(1)."""
-    n, k = op.shape.n, op.shape.k
-    if inverse:
-        op = op.dagger()
-    p, q = op.diag_block, op.offdiag_block
-
-    factors = [*op.spec[:k - 1], q, *op.spec[k - 1:]]
-    coeffs = _kernels.phase_vector(np.ones((n, 2)))
-    flips, mixers = [], []
-    for axis, m2 in enumerate(factors):
-        # Q is antidiagonal by construction: it always flips its bit
-        parts = (True, q[1, 0], q[0, 1]) if axis == k - 1 else _monomial_parts(m2)
-        if parts is None:
-            # mixes basis states: contracted with its 2x2, not scaled
-            parts = (False, 1.0, 1.0)
-            mixers.append((axis, m2))
-        flips.append(parts[0])
-        coeffs[axis] = parts[1:]
-    return coeffs, flips, mixers, k, complex(p[0, 0]), complex(p[1, 1])
+def _state_chain(op: StructuredBraidOp) -> np.ndarray:
+    """op's chain as one (n, 2, 2) array; no state takes (m, 2, 2) stacks."""
+    if any(factor.ndim != 2 for factor in op.chain):
+        raise DomainError("a state takes no (m, 2, 2) involution stacks")
+    return np.stack(op.chain)
 
 
 def apply_structured(op: StructuredBraidOp, v: np.ndarray,
@@ -171,7 +143,20 @@ def apply_structured(op: StructuredBraidOp, v: np.ndarray,
         raise DimensionMismatchError(
             f"state has {num_qubits(v)} qubits, operator acts on {n}"
         )
-    return _kernels.gather_pass(v, *_slot_table(op, inverse))
+    if inverse:
+        op = op.dagger()
+    chain = _state_chain(op)
+    diagonal, anti = chain[:, (0, 1), (0, 1)], chain[:, (0, 1), (1, 0)]
+    # a zero diagonal flips the bit, else a zero off-diagonal only scales;
+    # any other slot mixes basis states: contracted, with coefficients 1
+    flips = np.abs(diagonal).max(axis=1) <= _MONOMIAL_TOL
+    mixes = ~flips & (np.abs(anti).max(axis=1) > _MONOMIAL_TOL)
+    # target bit t picks up chain[j, t, t ^ flip]
+    coeffs = _kernels.phase_vector(np.where(flips[:, None], anti, diagonal))
+    coeffs[mixes] = 1
+    mixers = [(axis, chain[axis]) for axis in np.flatnonzero(mixes).tolist()]
+    return _kernels.gather_pass(v, coeffs, flips, mixers, op.shape.k,
+                                *np.diagonal(op.diag_block).tolist())
 
 
 def _basis_terms(bits) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +174,9 @@ def _product_terms(op: StructuredBraidOp, coeffs: np.ndarray,
     then the r chain terms (each slot's 2x2 on its own vector)."""
     if inverse:
         op = op.dagger()
-    k = op.shape.k
     diagonal = local.copy()
-    diagonal[..., k - 1, :] *= np.diagonal(op.diag_block)
-    factors = np.stack([*op.spec[:k - 1], op.offdiag_block, *op.spec[k - 1:]])
-    chain = (factors @ local[..., None])[..., 0]
+    diagonal[..., op.shape.k - 1, :] *= np.diagonal(op.diag_block)
+    chain = (_state_chain(op) @ local[..., None])[..., 0]
     return (np.concatenate([coeffs, coeffs], axis=-1),
             np.concatenate([diagonal, chain], axis=-3))
 

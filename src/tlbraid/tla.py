@@ -240,6 +240,13 @@ class StructuredBraidOp:
             raise DomainError(
                 f"slot-chain pair deviates from unitarity by {residual:.3e}")
 
+    @property
+    def chain(self) -> tuple[np.ndarray, ...]:
+        """The n slot factors s_1..s_{k-1}, Q, s_{k+1}..s_n in slot order:
+        the arrays the operator holds, not copies."""
+        k = self.shape.k
+        return (*self.spec[:k - 1], self.offdiag_block, *self.spec[k - 1:])
+
     def dense(self) -> np.ndarray:
         """Materialize the 2^n x 2^n matrix, a stack of m of them when the
         involution slots are (m, 2, 2) stacks (`kron_all`'s cap applies)."""
@@ -249,8 +256,7 @@ class StructuredBraidOp:
                             *ones * (n - k)).ravel()
         if not self.offdiag_block.any():
             return np.diag(diagonal)
-        s = self.spec
-        out = kron_all(*s[:k - 1], self.offdiag_block, *s[k - 1:])
+        out = kron_all(*self.chain)
         # the chain term is zero on the diagonal, since Q is
         out.reshape(out.shape[:-2] + (-1,))[..., ::(1 << n) + 1] += diagonal
         return out

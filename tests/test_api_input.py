@@ -25,7 +25,8 @@ from tlbraid import (BraidWord, DimensionMismatchError, DomainError, RepShape,
                      reduced_density, schmidt_rank, structured_braid_op,
                      tl_params, tl_projectors, verify, vn_entropy)
 from tlbraid.linalg import apply_in_place
-from tlbraid.states import bits_to_index, cluster_family, cluster_like_state
+from tlbraid.states import (apply_to_basis, bits_to_index, cluster_family,
+                            cluster_like_state)
 
 NAN = math.nan
 NAN_INVOLUTION = [[NAN, 0], [0, 1]]
@@ -51,6 +52,11 @@ I2 = np.eye(2)
 #: no Hermitian matrix but squares to I, the last is nilpotent (integers)
 NON_INVOLUTIONS = {"double": 2 * I2, "skew": np.array([[0, 2], [0.5, 0]]),
                    "nilpotent": np.array([[0, 1], [0, 0]])}
+#: A chain with a (2, 2, 2) stack, standing for two operators: no state
+#: takes it, though `dense()` does
+STACKED_SPEC = involution_spec([np.stack([gate("x")] * 2), gate("x")])
+STACKED_E2 = jones_pairs(RepShape(3, 1), tl_params(0.3), STACKED_SPEC
+                         ).projectors[1]
 #: Everything that takes an involution chain, with a chain for RepShape(3, 1)
 CHAIN_TAKERS = {
     "jones_pairs": lambda spec: jones_pairs(RepShape(3, 1), P8, spec),
@@ -188,6 +194,11 @@ def _chain_probes():
     lambda: jones_representation(None, RepShape(3, 1), ("x", "x")),
     *(lambda f=f, tol=tol: f(PRODUCT_STATE, [1], tol=tol)
       for f in (entanglement_report, schmidt_rank) for tol in (NAN, -1.0, "a")),
+    lambda: structured_braid_op(RepShape(3, 1), spec=STACKED_SPEC),
+    lambda: evaluate_on_state(parse("b1 b2"), jones_representation(
+        tl_params(0.3), RepShape(3, 1), STACKED_SPEC), basis_state("000")),
+    lambda: apply_structured(STACKED_E2, basis_state("000")),
+    lambda: apply_to_basis(STACKED_E2, "000"),
 ], ids=["involution_nan", "involution_ragged", "involution_int_overflow",
         "evaluate_on_state_nan_spec", "structured_braid_op_nan_spec",
         "tl_params_text", "tl_params_none", "tl_params_complex_phi",
@@ -242,7 +253,9 @@ def _chain_probes():
         "cluster_like_state_text_params", "structured_braid_op_tuple_shape",
         "jones_representation_none_params",
         *(f"{name}_{tol}_tol" for name in ("entanglement_report", "schmidt_rank")
-          for tol in ("nan", "negative", "text"))])
+          for tol in ("nan", "negative", "text")),
+        "structured_braid_op_stacked_chain", "evaluate_on_state_stacked_chain",
+        "apply_structured_stacked_chain", "apply_to_basis_stacked_chain"])
 def test_bad_input_is_a_domain_error(probe):
     """Each probe raises DomainError, or the error paired with it."""
     error, probe = probe if isinstance(probe, tuple) else (DomainError, probe)

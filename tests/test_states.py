@@ -16,7 +16,7 @@ from tlbraid import (CapacityError, DimensionMismatchError, DomainError,
                      parse_bits, phase_equivalent, structured_braid_op,
                      tl_params)
 from tlbraid import _kernels, linalg, states
-from tlbraid.tla import default_involution_spec, involution_spec
+from tlbraid.tla import default_involution_spec, involution_spec, jones_pairs
 
 from conftest import random_state
 
@@ -256,8 +256,11 @@ class TestApplyStructured:
         theta = data.draw(st.floats(-0.5, 0.5), label="theta") + \
             data.draw(st.sampled_from([0.0, np.pi / 2]), label="branch")
         phi = data.draw(st.floats(0, 6), label="phi")
-        op = structured_braid_op(RepShape(n, k), params=tl_params(theta, phi),
-                                 spec=involution_spec(names))
+        (e1, e2), (b1, b2), _ = jones_pairs(
+            RepShape(n, k), tl_params(theta, phi), involution_spec(names))
+        # b1 and E1 hold Q = 0 at slot k
+        op = {"b1 b2": b1 @ b2, "b1": b1, "E1": e1, "E2": e2}[data.draw(
+            st.sampled_from(["b1 b2", "b1", "E1", "E2"]), label="operator")]
         v = random_state(np.random.default_rng(n * 10 + k), n)
         dense = op.dense()
         with mock.patch.object(linalg, "BLOCK_AMPS", 1 << block):
